@@ -96,6 +96,8 @@ class Server {
   std::size_t persistent_gpu_bytes() const;
 
   sched::Scheduler& scheduler() noexcept { return *scheduler_; }
+  /// Per-configuration profiling results (keys: profile_cache_key).
+  ProfileCache& profile_cache() noexcept { return profile_cache_; }
   const ParameterStore* store() const noexcept { return store_.get(); }
 
   /// Non-null iff sched_policy == Policy::SwapOnIdle.

@@ -26,6 +26,25 @@ void ProfileCache::insert(const std::string& key,
   cache_[key] = demands;
 }
 
+std::string profile_cache_key(ServingMode mode,
+                              const net::FinetuneConfig& c) {
+  std::ostringstream os;
+  os << serving_mode_name(mode) << '|'
+     << nn::model_family_name(c.model.family) << '|' << c.model.dim << 'x'
+     << c.model.n_layers << 'h' << c.model.n_heads << 'f'
+     << c.model.ffn_hidden << 'v' << c.model.vocab_size << '|'
+     << c.split.front_blocks << '-' << c.split.back_blocks << '|'
+     << nn::adapter_type_name(c.adapter.type) << 'r' << c.adapter.rank << 'p'
+     << c.adapter.prefix_len << '|'
+     << optim::optimizer_kind_name(c.optimizer) << '|' << c.batch_size << 'x'
+     << c.seq_len;
+  // Frozen sessions profile with a no-grad cut input, which changes the
+  // measured backward peak — they must not share cache entries with
+  // trainable-half sessions of the same config.
+  if (c.profile.frozen_client_half) os << "|frozen";
+  return os.str();
+}
+
 ServingSession::ServingSession(int id, std::uint64_t token,
                                std::unique_ptr<net::Connection> connection,
                                const ServerConfig& config,
@@ -314,7 +333,7 @@ void ServingSession::grant_event() {
     finish_backward(msg, wait_sw_.elapsed_seconds());
   }
   // Any other state: a stale grant that raced a stop/expiry; cleanup's
-  // allocated_to() check reclaims the allocation.
+  // holds_allocation() check reclaims the allocation.
 }
 
 // ----- fused-batch path (core/batch.h) ----------------------------------
@@ -579,6 +598,12 @@ void ServingSession::handshake(const net::Message& hello) {
                       section_->trainable_parameters().empty(),
                   "coalescible sessions require a frozen server section");
   scheduler_->register_client(id_, demands_, batch_key_);
+  // Cache only demands the scheduler accepted: a measurement it rejects
+  // would otherwise fail every later session of this config on this shard.
+  if (fresh_profile_) {
+    profile_cache_->insert(profile_cache_key(config_.mode, client_config_),
+                           *fresh_profile_);
+  }
   if (!vanilla && offload_ != nullptr) register_residency_unit();
   if (config_.trace != nullptr) {
     config_.trace->record(util::TraceCategory::Session, "handshake", id_);
@@ -593,32 +618,13 @@ void ServingSession::handshake(const net::Message& hello) {
   state_ = State::AwaitRequest;
 }
 
-std::string ServingSession::profile_key() const {
-  std::ostringstream os;
-  const auto& c = client_config_;
-  os << serving_mode_name(config_.mode) << '|'
-     << nn::model_family_name(c.model.family) << '|' << c.model.dim << 'x'
-     << c.model.n_layers << 'h' << c.model.n_heads << 'f'
-     << c.model.ffn_hidden << 'v' << c.model.vocab_size << '|'
-     << c.split.front_blocks << '-' << c.split.back_blocks << '|'
-     << nn::adapter_type_name(c.adapter.type) << 'r' << c.adapter.rank << 'p'
-     << c.adapter.prefix_len << '|'
-     << optim::optimizer_kind_name(c.optimizer) << '|' << c.batch_size << 'x'
-     << c.seq_len;
-  // Frozen sessions profile with a no-grad cut input, which changes the
-  // measured backward peak — they must not share cache entries with
-  // trainable-half sessions of the same config.
-  if (frozen_) os << "|frozen";
-  return os.str();
-}
-
 sched::ClientDemands ServingSession::profile() {
   using tensor::Index;
   using tensor::Tensor;
 
   const bool vanilla = config_.mode == ServingMode::VanillaTaskSwap;
-  const std::string key = profile_key();
-  if (auto cached = profile_cache_->find(key)) {
+  if (auto cached = profile_cache_->find(
+          profile_cache_key(config_.mode, client_config_))) {
     if (vanilla) {
       // Activation demands transfer between identical configs; the task
       // residency component is this session's own.
@@ -657,9 +663,10 @@ sched::ClientDemands ServingSession::profile() {
   const int gpus = devices_->gpu_count();
   std::vector<std::size_t> bases(static_cast<std::size_t>(gpus));
   const auto mark = [&] {
+    // One step per GPU: a free landing between a separate allocated() read
+    // and the reset would leave the peak below the base.
     for (int g = 0; g < gpus; ++g) {
-      bases[static_cast<std::size_t>(g)] = devices_->gpu(g).allocated();
-      devices_->gpu(g).reset_peak();
+      bases[static_cast<std::size_t>(g)] = devices_->gpu(g).reset_peak();
     }
   };
   const auto measure = [&] {
@@ -711,8 +718,7 @@ sched::ClientDemands ServingSession::profile() {
     // backward peak from the start.
     d.forward_bytes = d.backward_bytes;
   }
-
-  profile_cache_->insert(key, d);
+  fresh_profile_ = d;
   if (vanilla) {
     swap_to(*host_);
     d.forward_bytes += task_bytes_.load();
@@ -729,7 +735,8 @@ void ServingSession::release() {
   // Under a group grant the BatchCoordinator releases the whole group's
   // charge itself (on_complete_group); a member failing or tearing down
   // mid-pass must only hand back what the scheduler still holds for it.
-  if (scheduler_->allocated_to(id_) == 0) return;
+  // Keyed on the record, not its size: a 0-byte grant is still a grant.
+  if (!scheduler_->holds_allocation(id_)) return;
   try {
     scheduler_->on_complete(id_);
   } catch (const Error&) {
@@ -1309,7 +1316,7 @@ void ServingSession::cleanup() {
   // the server's lifetime.)
   scheduler_->cancel_pending(id_);
   // A grant may have raced the stop notification; reclaim it either way.
-  if (!holding_allocation_ && scheduler_->allocated_to(id_) > 0) {
+  if (!holding_allocation_ && scheduler_->holds_allocation(id_)) {
     holding_allocation_ = true;
   }
   release();

@@ -61,6 +61,11 @@ class ProfileCache {
       MENOS_GUARDED_BY(mutex_);
 };
 
+/// The ProfileCache key of a client configuration served in `mode`:
+/// sessions whose keys match share one profiling measurement.
+std::string profile_cache_key(ServingMode mode,
+                              const net::FinetuneConfig& config);
+
 /// Everything needed to recreate a live session on another shard
 /// (fleet::Fleet drives Server::migrate_out -> Server::migrate_in). The
 /// ticket is in-memory only: the client's adapter and optimizer state
@@ -275,9 +280,10 @@ class ServingSession
   void touch_lease_locked() MENOS_REQUIRES(conn_mutex_);
   void expire_locked() MENOS_REQUIRES(conn_mutex_);
 
-  /// Profile M_f / M_b (§3.3) with random inputs on the real device.
+  /// Profile M_f / M_b (§3.3) with random inputs on the real device, or
+  /// take them from the cache. A fresh measurement is also kept in
+  /// fresh_profile_ until the scheduler accepts it into the cache.
   sched::ClientDemands profile();
-  std::string profile_key() const;
 
   void release();  ///< hand the live allocation back to the scheduler
 
@@ -339,6 +345,9 @@ class ServingSession
   std::unique_ptr<nn::ServerSection> section_;
   std::unique_ptr<optim::Optimizer> optimizer_;
   sched::ClientDemands demands_;
+  /// This session's own profiling measurement (activation demands only),
+  /// cached once register_client accepts it. Strand only.
+  std::optional<sched::ClientDemands> fresh_profile_;
   /// A + O reserved on the scheduler (shared modes). Atomic because
   /// persistent_gpu_bytes() reads it from introspection threads.
   std::atomic<std::size_t> persistent_bytes_{0};

@@ -137,6 +137,13 @@ void AuditDevice::deallocate(void* ptr, std::size_t bytes) noexcept {
   }
 }
 
+std::size_t AuditDevice::reset_peak() {
+  // Same lock order and quarantine adjustment as stats().
+  const std::size_t inner_level = inner_->reset_peak();
+  util::MutexLock lock(mutex_);
+  return inner_level - quarantine_total_;
+}
+
 MemoryStats AuditDevice::stats() const {
   MemoryStats s = inner_->stats();
   util::MutexLock lock(mutex_);

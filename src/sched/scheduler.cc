@@ -617,6 +617,11 @@ std::size_t Scheduler::allocated_to(int client_id) const {
   return it == allocations_.end() ? 0 : it->second.bytes;
 }
 
+bool Scheduler::holds_allocation(int client_id) const {
+  util::MutexLock lock(mutex_);
+  return allocations_.find(client_id) != allocations_.end();
+}
+
 std::size_t Scheduler::waiting_count() const {
   util::MutexLock lock(mutex_);
   return waiting_.size();

@@ -263,6 +263,10 @@ class Scheduler {
   std::size_t available(int partition = 0) const;
   std::size_t total_available() const;
   std::size_t allocated_to(int client_id) const;
+  /// Whether the scheduler holds a live allocation record for the client,
+  /// including a 0-byte one (which allocated_to() cannot tell apart from
+  /// no allocation).
+  bool holds_allocation(int client_id) const;
   std::size_t waiting_count() const;
   SchedulerStats stats() const;
   int partition_count() const;

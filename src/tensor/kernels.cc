@@ -25,7 +25,10 @@
 #include "tensor/kernels.h"
 
 #include <algorithm>
-#include <cstring>
+
+#if defined(__FMA__) || defined(__AVX512F__)
+#include <immintrin.h>
+#endif
 
 #include "util/aligned.h"
 #include "util/thread_pool.h"
@@ -35,11 +38,12 @@ namespace {
 
 // ----- architecture selection -----
 //
-// GNU vector extensions, not intrinsics: the same source compiles to SSE2,
-// AVX2+FMA or AVX-512 depending on -march (see MENOS_NATIVE_ARCH in the
-// top-level CMakeLists). Lane arithmetic is element-wise identical to the
-// scalar form, so the choice affects speed only within one build; the
-// determinism contract is per build, same as any -ffp-contract effect.
+// GNU vector extensions for loads, stores and tiles, plus one FMA intrinsic
+// in vmadd(): the same source compiles to SSE2, AVX2+FMA or AVX-512
+// depending on -march (see MENOS_NATIVE_ARCH in the top-level CMakeLists).
+// Lane arithmetic is element-wise identical to the scalar form, so the
+// choice affects speed only within one build; the determinism contract is
+// per build, same as any -ffp-contract effect.
 
 #if defined(__AVX512F__)
 constexpr int kVecLanes = 16;
@@ -60,6 +64,15 @@ constexpr char kArchLabel[] = "sse2";
 constexpr int kNR = kVecLanes * kNVecs;  // cols per register tile
 
 typedef float Vec __attribute__((vector_size(kVecLanes * sizeof(float))));
+// Unaligned, aliasing view of a float run as one Vec (the __m256_u idiom):
+// loads and stores through it compile to single vector moves, where a
+// memcpy into a Vec array can be lowered to a stack copy that keeps the
+// micro-kernel's operands in memory (GCC does so under -march=haswell).
+typedef float VecU __attribute__((vector_size(kVecLanes * sizeof(float)),
+                                  aligned(alignof(float)), may_alias));
+
+inline Vec vload(const float* p) { return *reinterpret_cast<const VecU*>(p); }
+inline void vstore(float* p, Vec v) { *reinterpret_cast<VecU*>(p) = v; }
 
 // Default cache blocking: A block (MC x KC) ~96 KiB stays in L2, the B
 // panel (KC x NC) streams through L3, the B strip (KC x NR) lives in L1.
@@ -93,19 +106,26 @@ inline float madd(float acc, float a, float b) {
 #endif
 }
 
-// Vector-lane counterpart of madd() with the SAME pinning rationale. The
-// micro-kernel's update used to be written `acc += a * b`, leaving the
-// fuse-or-not decision to -ffp-contract: GCC contracts that into vfmaddps
-// only at -O2, not at -O0/-O1, so Debug builds rounded products separately
-// while madd() stayed fused and the bit-identity suite diverged (the
-// CHANGES.md PR 7 "Debug 30/31" failure). Spelling the fuse out per lane
-// makes every optimisation level agree; GCC -O2 re-vectorizes this loop
-// into the same packed vfmadd231ps the contracted form produced, so the
-// Release kernels are unchanged.
+// Vector-lane counterpart of madd() with the SAME pinning rationale: the
+// fuse-or-not decision must not be left to -ffp-contract, which GCC applies
+// at -O2 but not at -O0/-O1 (a Debug build would round products separately
+// while madd() stays fused). The FMA intrinsics are fused at every
+// optimisation level and compile to one packed vfmadd per call, so the
+// micro-kernel's accumulators stay in registers. A per-lane
+// __builtin_fmaf loop is fused everywhere too, but GCC does not turn it
+// back into a register-resident packed fma: depending on the target it
+// emits scalar fmas, or a packed fma that loads and stores its accumulator
+// on every contraction step (mm at half speed on an AVX-512 host). Each
+// branch is guarded by exactly the ISA macros its intrinsic needs; a target
+// without FMA has no fused instruction, so neither the vector nor the
+// scalar path fuses.
 inline Vec vmadd(Vec acc, float a, Vec b) {
-#if defined(__FMA__)
-  for (int l = 0; l < kVecLanes; ++l) acc[l] = __builtin_fmaf(a, b[l], acc[l]);
-  return acc;
+#if defined(__AVX512F__)
+  return (Vec)_mm512_fmadd_ps(_mm512_set1_ps(a), (__m512)b, (__m512)acc);
+#elif defined(__AVX__) && defined(__FMA__)
+  return (Vec)_mm256_fmadd_ps(_mm256_set1_ps(a), (__m256)b, (__m256)acc);
+#elif defined(__FMA__)
+  return (Vec)_mm_fmadd_ps(_mm_set1_ps(a), (__m128)b, (__m128)acc);
 #else
   return acc + a * b;  // no fma instruction on this target; never contracted
 #endif
@@ -188,13 +208,13 @@ void micro(const float* __restrict__ ap, const float* __restrict__ bp,
   Vec acc[kMR][kNVecs];
   for (int i = 0; i < kMR; ++i) {
     for (int v = 0; v < kNVecs; ++v) {
-      std::memcpy(&acc[i][v], c + i * ldc + v * kVecLanes, sizeof(Vec));
+      acc[i][v] = vload(c + i * ldc + v * kVecLanes);
     }
   }
   for (Index p = 0; p < kc; ++p) {
     Vec b[kNVecs];
     for (int v = 0; v < kNVecs; ++v) {
-      std::memcpy(&b[v], bp + p * kNR + v * kVecLanes, sizeof(Vec));
+      b[v] = vload(bp + p * kNR + v * kVecLanes);
     }
     const float* acol = ap + p * kMR;
     for (int i = 0; i < kMR; ++i) {
@@ -204,7 +224,7 @@ void micro(const float* __restrict__ ap, const float* __restrict__ bp,
   }
   for (int i = 0; i < kMR; ++i) {
     for (int v = 0; v < kNVecs; ++v) {
-      std::memcpy(c + i * ldc + v * kVecLanes, &acc[i][v], sizeof(Vec));
+      vstore(c + i * ldc + v * kVecLanes, acc[i][v]);
     }
   }
 }

@@ -5,11 +5,15 @@
 #include "check/schedule.h"
 #include "util/check.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace menos::util {
 
 TaskPool::TaskPool(int width) : width_(width) {
   MENOS_CHECK_MSG(width >= 1, "TaskPool width must be >= 1, got " << width);
+  // These workers hold cores for as long as they live; intra-op regions
+  // fork only into what is left (ThreadPool core budget).
+  ThreadPool::reserve_cores(width_);
   workers_.reserve(static_cast<std::size_t>(width_));
   for (int i = 0; i < width_; ++i) {
     workers_.emplace_back([this] { worker_main(); });
@@ -39,6 +43,7 @@ void TaskPool::stop_and_join() {
     if (worker.joinable()) worker.join();
   }
   workers_.clear();
+  ThreadPool::release_cores(width_);
 }
 
 void TaskPool::worker_main() {

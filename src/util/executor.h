@@ -27,6 +27,8 @@ namespace menos::util {
 /// Fixed pool of workers draining one FIFO task queue. Tasks posted after
 /// stop_and_join() (or during it, once the queue drains) are dropped — by
 /// then every producer has wound down and drops are stale by construction.
+/// From construction until stop_and_join() the pool's width counts against
+/// the intra-op core budget (ThreadPool::reserve_cores).
 ///
 /// Dequeue order is FIFO unless a check::SchedulerHook is installed
 /// (src/check/schedule.h): then each worker hands the hook the post-order

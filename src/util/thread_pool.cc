@@ -26,6 +26,10 @@ thread_local bool t_inside_region = false;
 // per thread so the atomic chunk cursor load-balances uneven bodies.
 constexpr ThreadPool::Index kChunksPerThread = 4;
 
+// Cores held by live util::TaskPool workers (the core budget, see
+// thread_pool.h). Process-wide like the pool itself.
+std::atomic<int> g_reserved_cores{0};
+
 int env_width() {
   const char* raw = std::getenv("MENOS_THREADS");
   long parsed = 0;
@@ -58,6 +62,9 @@ struct ThreadPool::Region {
 
   std::atomic<Index> next{0};       // next unclaimed chunk
   std::atomic<Index> completed{0};  // chunks fully executed
+  // Helper seats left under the core budget; a worker that wakes for this
+  // region without taking a seat leaves the chunks to the others.
+  std::atomic<int> seats{0};
 
   Mutex error_mutex{"util.threadpool.error", 48};
   std::exception_ptr first_error MENOS_GUARDED_BY(error_mutex);
@@ -77,6 +84,8 @@ struct ThreadPool::State {
   std::uint64_t epoch MENOS_GUARDED_BY(mutex) = 0;
   bool stop MENOS_GUARDED_BY(mutex) = false;
   bool started MENOS_GUARDED_BY(mutex) = false;
+  // Size of workers_, readable without the dispatch locks.
+  std::atomic<int> spawned{0};
 
   // Background task lane (submit): independent of the fork/join fields so
   // a long-running task never interferes with parallel_for dispatch.
@@ -105,6 +114,23 @@ void ThreadPool::set_num_threads(int n) {
   MENOS_CHECK_MSG(n >= 1, "ThreadPool width must be >= 1, got " << n);
   stop_workers();
   num_threads_ = std::min(n, 256);
+}
+
+int ThreadPool::helper_budget() const noexcept {
+  return std::max(0, num_threads_ - 1 -
+                         g_reserved_cores.load(std::memory_order_relaxed));
+}
+
+int ThreadPool::spawned_workers() const noexcept {
+  return state_->spawned.load(std::memory_order_relaxed);
+}
+
+void ThreadPool::reserve_cores(int n) noexcept {
+  g_reserved_cores.fetch_add(n, std::memory_order_relaxed);
+}
+
+void ThreadPool::release_cores(int n) noexcept {
+  g_reserved_cores.fetch_sub(n, std::memory_order_relaxed);
 }
 
 void ThreadPool::submit(std::function<void()> task) {
@@ -169,6 +195,7 @@ void ThreadPool::stop_workers() {
   state_->work_cv.notify_all();
   for (std::thread& t : workers_) t.join();
   workers_.clear();
+  state_->spawned.store(0, std::memory_order_relaxed);
   MutexLock lock(state_->mutex);
   state_->started = false;
   state_->stop = false;
@@ -207,6 +234,7 @@ void ThreadPool::worker_main() {
       region = state_->region;
     }
     if (!region) continue;
+    if (region->seats.fetch_sub(1, std::memory_order_relaxed) <= 0) continue;
     run_chunks(*region);
     if (region->completed.load(std::memory_order_acquire) == region->nchunks) {
       // Take the mutex before notifying so the wakeup cannot slip into the
@@ -223,9 +251,12 @@ void ThreadPool::parallel_for(Index begin, Index end, Index grain,
   const Index range = end - begin;
   grain = std::max<Index>(grain, 1);
 
-  // Serial fast paths: tiny range, width-1 pool, nested call, or another
-  // thread already mid-dispatch (run our own range instead of queueing).
-  if (range <= grain || num_threads_ <= 1 || t_inside_region) {
+  // Serial fast paths: tiny range, no helper left in the core budget
+  // (width 1, or live executor workers hold the cores), nested call, or
+  // another thread already mid-dispatch (run our own range instead of
+  // queueing).
+  const int helpers = helper_budget();
+  if (range <= grain || helpers == 0 || t_inside_region) {
     body(begin, end);
     return;
   }
@@ -239,7 +270,7 @@ void ThreadPool::parallel_for(Index begin, Index end, Index grain,
     MutexLock submit(state_->submit_mutex, MutexLock::Adopt{});
 
     const Index target_chunks =
-        static_cast<Index>(num_threads_) * kChunksPerThread;
+        static_cast<Index>(helpers + 1) * kChunksPerThread;
     const Index chunk =
         std::max(grain, (range + target_chunks - 1) / target_chunks);
     const Index nchunks = (range + chunk - 1) / chunk;
@@ -247,6 +278,7 @@ void ThreadPool::parallel_for(Index begin, Index end, Index grain,
       body(begin, end);
       return;
     }
+    const int seats = static_cast<int>(std::min<Index>(helpers, nchunks - 1));
 
     region = std::make_shared<Region>();
     region->begin = begin;
@@ -254,19 +286,19 @@ void ThreadPool::parallel_for(Index begin, Index end, Index grain,
     region->chunk = chunk;
     region->nchunks = nchunks;
     region->body = &body;
+    region->seats.store(seats, std::memory_order_relaxed);
 
     {
       MutexLock lock(state_->mutex);
-      if (!state_->started) {
-        // Lazy start: spawn the workers on the first dispatch that wants
-        // them (width-1 pools and purely-serial programs never get here).
-        state_->stop = false;
-        state_->started = true;
-        workers_.reserve(static_cast<std::size_t>(num_threads_ - 1));
-        for (int i = 0; i < num_threads_ - 1; ++i) {
-          workers_.emplace_back([this] { worker_main(); });
-        }
+      // Lazy start: spawn workers on the first dispatch that wants them,
+      // and only as many as the budget lets this region use (width-1 pools
+      // and purely-serial programs never get here).
+      state_->started = true;
+      while (static_cast<int>(workers_.size()) < seats) {
+        workers_.emplace_back([this] { worker_main(); });
       }
+      state_->spawned.store(static_cast<int>(workers_.size()),
+                            std::memory_order_relaxed);
       state_->region = region;
       ++state_->epoch;
     }

@@ -18,6 +18,14 @@
 // Nested parallel_for calls (a kernel body calling another parallel kernel)
 // degrade to serial execution on the calling thread, which keeps the pool
 // reentrancy-safe without a work-stealing scheduler.
+//
+// Core budget. The width is a budget of cores, shared with the long-lived
+// workers of every live util::TaskPool (the serving executor). A region
+// forks at most width - 1 - (live TaskPool workers) helpers, so those
+// workers plus a region's threads (caller and helpers) never exceed the
+// width. A server whose executor is at least as wide as the pool therefore
+// runs its ops serially and gets its parallelism across sessions; a
+// process with no executor forks to the full width.
 #pragma once
 
 #include <cstdint>
@@ -51,11 +59,25 @@ class ThreadPool {
 
   /// Invoke `body` over disjoint subranges covering [begin, end) exactly
   /// once. `grain` is the minimum chunk size (in indices) worth shipping to
-  /// another thread; ranges at or below it, a pool of width 1, nested calls
-  /// and contended submissions all run `body(begin, end)` on the calling
-  /// thread. The first exception thrown by any chunk is rethrown on the
-  /// calling thread after all chunks finish.
+  /// another thread; ranges at or below it, a pool of width 1, an exhausted
+  /// core budget, nested calls and contended submissions all run
+  /// `body(begin, end)` on the calling thread. The first exception thrown
+  /// by any chunk is rethrown on the calling thread after all chunks finish.
   void parallel_for(Index begin, Index end, Index grain, const Body& body);
+
+  /// Helpers a region may fork right now under the core budget:
+  /// max(0, num_threads() - 1 - cores reserved by live TaskPools).
+  int helper_budget() const noexcept;
+
+  /// Worker threads spawned so far. Workers start on demand, up to the
+  /// helper budget of the widest region dispatched since the last resize.
+  int spawned_workers() const noexcept;
+
+  /// Cores held by long-lived workers outside this pool. util::TaskPool
+  /// reserves its width at construction and releases it once its workers
+  /// are joined; nothing else should need these.
+  static void reserve_cores(int n) noexcept;
+  static void release_cores(int n) noexcept;
 
   /// Run `task` asynchronously on the pool's background task lane: one
   /// dedicated FIFO worker, lazily spawned and fully independent of the

@@ -3,13 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <mutex>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "test_helpers.h"
+#include "util/executor.h"
 #include "util/thread_pool.h"
 
 namespace menos {
@@ -195,6 +200,103 @@ TEST(ParallelDeterminism, TrainStepBitIdenticalAcrossWidths) {
   const std::vector<float> serial = run_train_step(1);
   expect_bit_identical(serial, run_train_step(2), "train step @2 threads");
   expect_bit_identical(serial, run_train_step(8), "train step @8 threads");
+}
+
+// ----- core budget: live executor workers cap intra-op helpers -----
+
+/// mm and mm_tn big enough to split into several row chunks, at whatever
+/// width and budget the pool has now.
+std::vector<float> budget_kernels() {
+  util::Rng rng(77);
+  const Index m = 300, k = 64, n = 96;
+  std::vector<float> a(static_cast<std::size_t>(m * k));
+  std::vector<float> b(static_cast<std::size_t>(k * n));
+  std::vector<float> bt(static_cast<std::size_t>(m * n));
+  rng.fill_normal(a.data(), a.size(), 1.0f);
+  rng.fill_normal(b.data(), b.size(), 1.0f);
+  rng.fill_normal(bt.data(), bt.size(), 1.0f);
+  std::vector<float> c(static_cast<std::size_t>(m * n), 0.0f);
+  tensor::kernels::mm(a.data(), b.data(), c.data(), m, k, n);
+  std::vector<float> c_tn(static_cast<std::size_t>(k * n), 0.0f);
+  tensor::kernels::mm_tn(a.data(), bt.data(), c_tn.data(), m, k, n);
+  c.insert(c.end(), c_tn.begin(), c_tn.end());
+  return c;
+}
+
+std::vector<float> serial_budget_kernels() {
+  ThreadPool::instance().set_num_threads(1);
+  return budget_kernels();
+}
+
+/// Runs a parallel_for with plenty of chunks and reports the distinct
+/// threads other than the caller that executed any of them.
+int helpers_seen() {
+  std::mutex mu;
+  std::set<std::thread::id> ids;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<Index> covered{0};
+  util::parallel_for(0, 64, 1, [&](Index lo, Index hi) {
+    // Long enough per chunk that idle helpers get a chance to join.
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    covered += hi - lo;
+    std::lock_guard<std::mutex> lock(mu);
+    if (std::this_thread::get_id() != caller) {
+      ids.insert(std::this_thread::get_id());
+    }
+  });
+  EXPECT_EQ(covered.load(), 64);
+  return static_cast<int>(ids.size());
+}
+
+TEST(CoreBudget, ExecutorAsWideAsThePoolMakesRegionsSerial) {
+  PoolWidthGuard guard;
+  ThreadPool& pool = ThreadPool::instance();
+  const std::vector<float> serial = serial_budget_kernels();
+  pool.set_num_threads(4);  // joins any earlier workers
+  {
+    util::TaskPool executor(4);
+    EXPECT_EQ(pool.helper_budget(), 0);
+    const std::thread::id caller = std::this_thread::get_id();
+    int calls = 0;
+    bool off_caller = false;
+    util::parallel_for(0, 4096, 1, [&](Index, Index) {
+      ++calls;
+      off_caller |= std::this_thread::get_id() != caller;
+    });
+    EXPECT_EQ(calls, 1);  // the whole range, inline
+    EXPECT_FALSE(off_caller);
+    expect_bit_identical(serial, budget_kernels(), "kernels, budget 0");
+    EXPECT_EQ(pool.spawned_workers(), 0);
+  }
+  EXPECT_EQ(pool.helper_budget(), 3);
+}
+
+TEST(CoreBudget, NarrowerExecutorLeavesTheRemainder) {
+  PoolWidthGuard guard;
+  ThreadPool& pool = ThreadPool::instance();
+  const std::vector<float> serial = serial_budget_kernels();
+  pool.set_num_threads(4);
+  util::TaskPool executor(2);  // W - 2
+  EXPECT_EQ(pool.helper_budget(), 1);
+  EXPECT_LE(helpers_seen(), 1);
+  EXPECT_LE(pool.spawned_workers(), 1);
+  expect_bit_identical(serial, budget_kernels(), "kernels, budget 1");
+  EXPECT_LE(pool.spawned_workers(), 1);
+}
+
+TEST(CoreBudget, ForkingResumesAfterStopAndJoin) {
+  PoolWidthGuard guard;
+  ThreadPool& pool = ThreadPool::instance();
+  const std::vector<float> serial = serial_budget_kernels();
+  pool.set_num_threads(4);
+  util::TaskPool executor(8);
+  EXPECT_EQ(pool.helper_budget(), 0);
+  executor.stop_and_join();
+  executor.stop_and_join();  // idempotent: the cores are returned once
+  EXPECT_EQ(pool.helper_budget(), 3);
+  EXPECT_LE(helpers_seen(), 3);
+  EXPECT_EQ(pool.spawned_workers(), 3);
+  expect_bit_identical(serial, budget_kernels(), "kernels, budget 3");
 }
 
 }  // namespace

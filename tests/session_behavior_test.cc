@@ -33,14 +33,18 @@ struct Rig {
   }
   ~Rig() { server->stop(); }
 
-  std::unique_ptr<Client> client(std::uint64_t seed) {
+  static ClientOptions options(std::uint64_t seed) {
     ClientOptions options;
     options.finetune.model = sb_model();
     options.finetune.batch_size = 2;
     options.finetune.seq_len = 8;
     options.finetune.adapter_seed = seed;
     options.base_seed = 42;
-    auto c = std::make_unique<Client>(options, acceptor.connect(),
+    return options;
+  }
+
+  std::unique_ptr<Client> client(std::uint64_t seed) {
+    auto c = std::make_unique<Client>(options(seed), acceptor.connect(),
                                       client_devices.gpu(0));
     c->connect();
     return c;
@@ -166,6 +170,34 @@ TEST(SessionBehavior, IdenticalClientsGetIdenticalProfiles) {
   EXPECT_EQ(c1->server_backward_bytes(), c2->server_backward_bytes());
   c1->disconnect();
   c2->disconnect();
+}
+
+TEST(SessionBehavior, ZeroByteDemandSessionStepsAndReleasesItsGrants) {
+  // A profile can measure 0 bytes when other sessions free memory while it
+  // runs. The scheduler then grants 0 bytes, and that grant must still be
+  // handed back: a client holding a record may not request again.
+  Rig rig(ServingMode::MenosOnDemand);
+  rig.server->profile_cache().insert(
+      profile_cache_key(rig.config.mode, Rig::options(1).finetune),
+      sched::ClientDemands{0, 0});
+  const std::size_t baseline = rig.devices.gpu(0).allocated();
+  const std::size_t available = rig.server->scheduler().total_available();
+  {
+    auto client = rig.client(1);
+    EXPECT_EQ(client->server_forward_bytes(), 0u);
+    EXPECT_EQ(client->server_backward_bytes(), 0u);
+    auto loader = sb_loader(2);
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_TRUE(std::isfinite(client->train_step(loader.next()).loss));
+    }
+    client->disconnect();
+  }
+  for (int i = 0; i < 200 && rig.server->session_count() > 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(rig.server->session_count(), 0);
+  EXPECT_EQ(rig.devices.gpu(0).allocated(), baseline);
+  EXPECT_EQ(rig.server->scheduler().total_available(), available);
 }
 
 TEST(SessionBehavior, StatsCountIterations) {

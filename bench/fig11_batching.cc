@@ -26,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "core/client.h"
 #include "core/server.h"
 #include "data/dataset.h"
@@ -35,6 +36,9 @@
 namespace {
 
 using namespace menos;
+
+// Serving executor width for both policies (see measure).
+constexpr int kExecutorThreads = 4;
 
 // Deep trunk on purpose: the server hosts blocks [1, n_layers), so the
 // fused pass amortizes twenty-three blocks of per-pass fixed cost per group
@@ -103,7 +107,7 @@ double measure(sched::Policy policy, int count, std::uint64_t* groups,
   // request is even parsed, so the scheduler would never see two waiting
   // requests no matter the memory pressure. Four workers keep request
   // intake flowing while grants compute.
-  config.executor_threads = 4;
+  config.executor_threads = kExecutorThreads;
   net::InprocAcceptor acceptor;
   core::Server server(config, devices, bench_model());
   server.start(acceptor);
@@ -266,8 +270,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(f, "{\n  \"bench\": \"fig11_batching\",\n");
-  std::fprintf(f, "  \"hardware_concurrency\": %u,\n",
-               std::thread::hardware_concurrency());
+  bench::write_environment(f, core::resolve_executor_width(kExecutorThreads));
   std::fprintf(f, "  \"points\": [\n");
   for (std::size_t i = 0; i < points.size(); ++i) {
     const Point& p = points[i];

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "sim/split_sim.h"
 
 namespace {
@@ -199,6 +200,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(f, "{\n  \"bench\": \"fig6_hetero\",\n");
+  bench::write_environment(f, /*executor_width=*/0);  // simulated, no server
   std::fprintf(f, "  \"population\": [\n");
   for (std::size_t i = 0; i < pop.size(); ++i) {
     std::fprintf(f,

@@ -24,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "core/client.h"
 #include "core/server.h"
 #include "data/dataset.h"
@@ -180,9 +181,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(f, "{\n  \"bench\": \"micro_server_concurrency\",\n");
-  std::fprintf(f, "  \"hardware_concurrency\": %u,\n",
-               std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"executor_width\": %d,\n", executor_width);
+  bench::write_environment(f, executor_width);
   std::fprintf(f, "  \"executor\": [\n");
   for (std::size_t i = 0; i < points.size(); ++i) {
     json_point(f, points[i]);

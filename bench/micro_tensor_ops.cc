@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "gpusim/device.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
@@ -205,6 +206,7 @@ int main(int argc, char** argv) {
       out_path = arg;
     }
   }
+  const int pool_width = ThreadPool::instance().num_threads();
   const unsigned hw = std::thread::hardware_concurrency();
   std::printf("micro_tensor_ops: hardware_concurrency=%u arch=%s tile=%lldx%lld (%s)\n",
               hw, menos::tensor::kernels::vector_arch(),
@@ -274,8 +276,9 @@ int main(int argc, char** argv) {
   }
   const auto blocks = menos::tensor::kernels::block_config();
   std::fprintf(f, "{\n  \"bench\": \"micro_tensor_ops\",\n");
-  std::fprintf(f, "  \"environment\": {\n");
-  std::fprintf(f, "    \"hardware_concurrency\": %u,\n", hw);
+  ThreadPool::instance().set_num_threads(pool_width);  // as configured
+  menos::bench::write_environment(f, /*executor_width=*/0);
+  std::fprintf(f, "  \"kernel_config\": {\n");
   std::fprintf(f, "    \"thread_widths\": [");
   {
     const std::vector<int> widths = bench_widths();
@@ -284,14 +287,6 @@ int main(int argc, char** argv) {
     }
   }
   std::fprintf(f, "],\n");
-  std::fprintf(f, "    \"compiler\": \"%s\",\n", __VERSION__);
-#ifdef NDEBUG
-  std::fprintf(f, "    \"build\": \"release\",\n");
-#else
-  std::fprintf(f, "    \"build\": \"debug\",\n");
-#endif
-  std::fprintf(f, "    \"vector_arch\": \"%s\",\n",
-               menos::tensor::kernels::vector_arch());
   std::fprintf(f, "    \"micro_tile\": [%lld, %lld],\n",
                static_cast<long long>(
                    menos::tensor::kernels::micro_tile_rows()),

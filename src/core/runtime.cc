@@ -1,6 +1,10 @@
 #include "core/runtime.h"
 
+#include <algorithm>
 #include <cstring>
+#include <thread>
+
+#include "util/thread_pool.h"
 
 namespace menos::core {
 
@@ -23,6 +27,14 @@ bool holds_across_iteration(ServingMode mode) noexcept {
   return mode == ServingMode::MenosReleaseAfterBackward ||
          mode == ServingMode::MenosPreserveAll ||
          mode == ServingMode::VanillaTaskSwap;
+}
+
+int resolve_executor_width(int configured) {
+  if (configured > 0) return std::min(configured, util::kMaxThreads);
+  const int env = util::env_thread_count("MENOS_EXECUTOR_THREADS");
+  if (env > 0) return env;
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  return std::min(8, std::max(1, hw));
 }
 
 net::WireTensor to_wire(const tensor::Tensor& t) {

@@ -14,9 +14,11 @@ namespace menos::net {
 class Poller;
 }  // namespace menos::net
 
-namespace menos::core {
+namespace menos::util {
+class TaskPool;
+}  // namespace menos::util
 
-class Executor;
+namespace menos::core {
 
 /// How a serving session manages GPU memory across the four-step loop of
 /// §2.2. The first four are the optimization ladder of Fig 3; the last is
@@ -87,7 +89,7 @@ struct ServerConfig {
   /// stops it after Server::stop() (the server then only schedules/cancels
   /// its own reaper timer on it). Null (the default) = the server owns a
   /// private core, as before.
-  Executor* shared_executor = nullptr;
+  util::TaskPool* shared_executor = nullptr;
   net::Poller* shared_poller = nullptr;
 
   /// Seed for minting session tokens; 0 derives one from base_seed. Fleet
@@ -101,6 +103,12 @@ struct ServerConfig {
   /// compute"). Only consulted when sched_policy == Policy::CoalescedBatch.
   std::size_t batch_max_group = 32;
 };
+
+/// Width of a serving executor: `configured` if > 0, else the
+/// MENOS_EXECUTOR_THREADS environment variable if > 0 (so CI can force
+/// heavy interleaving on few workers), else min(8, hardware_concurrency).
+/// Clamped to util::kMaxThreads; a malformed variable fails a MENOS_CHECK.
+int resolve_executor_width(int configured);
 
 /// Copy a device tensor into a wire carrier.
 net::WireTensor to_wire(const tensor::Tensor& t);

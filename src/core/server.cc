@@ -31,13 +31,30 @@ Server::Server(const ServerConfig& config, gpusim::DeviceManager& devices,
                   "GPU capacity exhausted by the base model");
   scheduler_ = std::make_unique<sched::Scheduler>(
       available - config_.reserve_bytes, config_.sched_policy);
+  if (config_.shared_executor != nullptr || config_.shared_poller != nullptr) {
+    // Fleet mode: all shards multiplex onto one serving core. Both halves
+    // come together — a shard with its own poller but a shared executor
+    // (or vice versa) has no sane stop() ordering.
+    MENOS_CHECK_MSG(
+        config_.shared_executor != nullptr && config_.shared_poller != nullptr,
+        "shared_executor and shared_poller must be set together");
+    executor_ = config_.shared_executor;
+    poller_ = config_.shared_poller;
+  } else {
+    owned_executor_ = std::make_unique<util::TaskPool>(
+        resolve_executor_width(config_.executor_threads));
+    owned_poller_ = std::make_unique<net::Poller>();
+    executor_ = owned_executor_.get();
+    poller_ = owned_poller_.get();
+  }
   if (config_.sched_policy == sched::Policy::SwapOnIdle) {
     // SwapOnIdle evicts per-client A + O through the offload engine; the
     // vanilla baseline swaps whole task copies itself and has no separate
     // persistent unit to evict.
     MENOS_CHECK_MSG(shares_base_model(config_.mode),
                     "SwapOnIdle requires a shared serving mode");
-    offload_ = std::make_unique<mem::OffloadEngine>(devices.transfer_model());
+    offload_ = std::make_unique<mem::OffloadEngine>(*executor_,
+                                                   devices.transfer_model());
     scheduler_->set_reclaim_callback(
         [this](int /*partition*/, std::size_t bytes_needed) {
           // Runs with the scheduler mutex held (reclaim contract); the
@@ -56,21 +73,6 @@ Server::Server(const ServerConfig& config, gpusim::DeviceManager& devices,
         std::max<std::size_t>(1, config_.batch_max_group));
     batching_ =
         std::make_unique<BatchCoordinator>(config_, *store_, *scheduler_);
-  }
-  if (config_.shared_executor != nullptr || config_.shared_poller != nullptr) {
-    // Fleet mode: all shards multiplex onto one serving core. Both halves
-    // come together — a shard with its own poller but a shared executor
-    // (or vice versa) has no sane stop() ordering.
-    MENOS_CHECK_MSG(
-        config_.shared_executor != nullptr && config_.shared_poller != nullptr,
-        "shared_executor and shared_poller must be set together");
-    executor_ = config_.shared_executor;
-    poller_ = config_.shared_poller;
-  } else {
-    owned_executor_ = std::make_unique<Executor>(config_.executor_threads);
-    owned_poller_ = std::make_unique<net::Poller>();
-    executor_ = owned_executor_.get();
-    poller_ = owned_poller_.get();
   }
   scheduler_->set_grant_callback([this](const sched::Grant& grant) {
     // Dispatched after the scheduler mutex drops (see sched::Scheduler).

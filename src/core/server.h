@@ -2,8 +2,8 @@
 // forward/backward computation under the operation-level scheduler.
 //
 // Serving is event-driven (docs/ARCHITECTURE.md): sessions are state
-// machines multiplexed onto a shared core::Executor, with readiness demuxed
-// by one net::Poller service thread. The server's OS thread count is
+// machines multiplexed onto a shared util::TaskPool executor, with
+// readiness demuxed by one net::Poller service thread. The server's OS thread count is
 // therefore O(executor width), not O(clients).
 #pragma once
 
@@ -11,7 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/executor.h"
 #include "core/session.h"
 #include "mem/offload_engine.h"
 #include "net/poller.h"
@@ -107,8 +106,8 @@ class Server {
   /// (docs/ARCHITECTURE.md "Cross-client batched trunk compute").
   BatchCoordinator* batch_coordinator() noexcept { return batching_.get(); }
 
-  /// The shared serving executor (width = ServerConfig::executor_threads).
-  Executor& executor() noexcept { return *executor_; }
+  /// The shared serving executor (width: resolve_executor_width).
+  util::TaskPool& executor() noexcept { return *executor_; }
 
   int session_count() const;
 
@@ -143,7 +142,9 @@ class Server {
   std::unique_ptr<sched::Scheduler> scheduler_;
   // Declared after scheduler_ (engine swap tasks charge the scheduler, so
   // the engine must be destroyed first) and before sessions_ (sessions hold
-  // a raw pointer and unregister their units in cleanup()).
+  // a raw pointer and unregister their units in cleanup()). Its prefetches
+  // run on executor_, which the constructor creates first; stop() drains
+  // the executor before anything here is destroyed.
   std::unique_ptr<mem::OffloadEngine> offload_;  // SwapOnIdle only
   // Fused cross-client trunk compute (CoalescedBatch only). Declared after
   // scheduler_ (run_group releases group charges into it) and before the
@@ -154,9 +155,9 @@ class Server {
   // may still unwatch itself, so the poller must outlive every session.
   // When ServerConfig::shared_executor/shared_poller are set (fleet mode)
   // the owned pointers stay null and the raw ones alias the shared core.
-  std::unique_ptr<Executor> owned_executor_;
+  std::unique_ptr<util::TaskPool> owned_executor_;
   std::unique_ptr<net::Poller> owned_poller_;
-  Executor* executor_ = nullptr;
+  util::TaskPool* executor_ = nullptr;
   net::Poller* poller_ = nullptr;
   SessionClosedHook session_closed_hook_;  ///< immutable after start
   // Serializes the profiling runs themselves (device headroom), not a data

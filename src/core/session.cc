@@ -54,7 +54,7 @@ ServingSession::ServingSession(int id, std::uint64_t token,
                                gpusim::DeviceManager& devices,
                                util::Mutex& profiling_mutex,
                                ProfileCache& profile_cache,
-                               Executor& executor, net::Poller& poller,
+                               util::TaskPool& executor, net::Poller& poller,
                                mem::OffloadEngine* offload)
     : id_(id),
       token_(token),
@@ -67,10 +67,9 @@ ServingSession::ServingSession(int id, std::uint64_t token,
       host_(&devices.host()),
       profiling_mutex_(&profiling_mutex),
       profile_cache_(&profile_cache),
-      executor_(&executor),
       poller_(&poller),
       offload_(offload),
-      strand_(executor.pool()) {
+      strand_(executor) {
   MENOS_CHECK_MSG(!shares_base_model(config.mode) || store_ != nullptr,
                   "shared serving modes require a ParameterStore");
   util::MutexLock lock(conn_mutex_);
@@ -104,9 +103,10 @@ void ServingSession::request_stop() {
 void ServingSession::on_grant(const sched::Grant& grant) {
   (void)grant;  // single-GPU runtime: partition is always 0
   if (unit_registered_.load()) {
-    // Prefetch-on-grant: start the swap-in on the background task lane so
-    // it overlaps other clients' compute; the strand's ensure_resident()
-    // joins it (or retries a failed charge).
+    // Prefetch-on-grant: post the swap-in to the executor so it overlaps
+    // other clients' compute; the strand's ensure_resident() joins it,
+    // does the move itself if the task has not started, or retries a
+    // failed charge.
     offload_->prefetch(id_);
   }
   post_event([](ServingSession& s) { s.grant_event(); });

@@ -15,8 +15,8 @@
 //        ... -> Finished
 //
 // All transitions run on the session's util::Strand over the server's
-// shared core::Executor, so events are serialized per session without a
-// per-session thread or lock. Readiness ("a frame may have arrived")
+// shared util::TaskPool executor, so events are serialized per session
+// without a per-session thread or lock. Readiness ("a frame may have arrived")
 // comes from the server's net::Poller; scheduler grants arrive as strand
 // events posted by on_grant. Server concurrency is therefore bounded by
 // GPU memory — the paper's resource — not by OS thread count.
@@ -30,13 +30,13 @@
 #include <optional>
 #include <vector>
 
-#include "core/executor.h"
 #include "core/parameter_store.h"
 #include "core/runtime.h"
 #include "mem/offload_engine.h"
 #include "net/poller.h"
 #include "net/transport.h"
 #include "optim/optimizer.h"
+#include "util/executor.h"
 #include "util/mutex.h"
 #include "util/queue.h"
 #include "util/stopwatch.h"
@@ -127,7 +127,7 @@ class ServingSession
                  sched::Scheduler& scheduler,
                  gpusim::DeviceManager& devices,
                  util::Mutex& profiling_mutex, ProfileCache& profile_cache,
-                 Executor& executor, net::Poller& poller,
+                 util::TaskPool& executor, net::Poller& poller,
                  mem::OffloadEngine* offload = nullptr);
   ~ServingSession();
 
@@ -327,7 +327,6 @@ class ServingSession
   gpusim::Device* host_;
   util::Mutex* profiling_mutex_;  // owned by the Server; serializes profiling
   ProfileCache* profile_cache_;
-  Executor* executor_;
   net::Poller* poller_;
   mem::OffloadEngine* offload_;   // owned by the Server; null unless SwapOnIdle
 

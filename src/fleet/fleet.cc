@@ -12,7 +12,8 @@ Fleet::Fleet(const FleetConfig& config, const nn::TransformerConfig& model)
   MENOS_CHECK_MSG(config_.shards >= 1, "fleet needs at least one shard");
   MENOS_CHECK_MSG(core::shares_base_model(config_.server.mode),
                   "fleet shards require a shared serving mode");
-  executor_ = std::make_unique<core::Executor>(config_.executor_threads);
+  executor_ = std::make_unique<util::TaskPool>(
+      core::resolve_executor_width(config_.executor_threads));
   poller_ = std::make_unique<net::Poller>();
   for (int i = 0; i < config_.shards; ++i) {
     // Each shard gets a private DeviceManager: its scheduler partition must

@@ -3,7 +3,7 @@
 // A Fleet owns N server shards, each with its own simulated GPU (a private
 // gpusim::DeviceManager) and its own bit-identical copy of the base model
 // (all shards share base_seed), all multiplexed onto ONE serving core: a
-// shared core::Executor worker pool and a shared net::Poller. Growing the
+// shared util::TaskPool executor and a shared net::Poller. Growing the
 // fleet therefore adds GPU capacity, not threads — the paper's premise that
 // serving is memory-bound, not compute-bound, at the fleet level.
 //
@@ -24,7 +24,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/executor.h"
 #include "core/server.h"
 #include "fleet/policy.h"
 #include "fleet/router.h"
@@ -95,7 +94,7 @@ class Fleet {
     return *devices_[static_cast<std::size_t>(i)];
   }
   Router& router() noexcept { return *router_; }
-  core::Executor& executor() noexcept { return *executor_; }
+  util::TaskPool& executor() noexcept { return *executor_; }
 
  private:
   void migrator_loop();
@@ -105,7 +104,7 @@ class Fleet {
   int roomiest_shard_except(int except) const;
 
   FleetConfig config_;
-  std::unique_ptr<core::Executor> executor_;
+  std::unique_ptr<util::TaskPool> executor_;
   std::unique_ptr<net::Poller> poller_;
   std::vector<std::unique_ptr<gpusim::DeviceManager>> devices_;
   std::vector<std::unique_ptr<core::Server>> servers_;

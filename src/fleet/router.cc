@@ -7,7 +7,7 @@
 namespace menos::fleet {
 
 Router::Router(std::vector<core::Server*> shards, PlacementPolicy& policy,
-               core::Executor& executor, net::Poller& poller,
+               util::TaskPool& executor, net::Poller& poller,
                util::EventTrace* trace)
     : shards_(std::move(shards)),
       policy_(&policy),
@@ -68,7 +68,7 @@ void Router::accept_loop(net::Acceptor* acceptor) {
     // slow connector. Watches start disarmed, so the callback cannot fire
     // before the token is stored below.
     const std::uint64_t watch = poller_->watch(*conn, [this, id] {
-      executor_->pool().post([this, id] { handle_first(id); });
+      executor_->post([this, id] { handle_first(id); });
     });
     bool keep = false;
     {

@@ -44,7 +44,7 @@ class Router {
   /// outlive the router. The poller must already be running when start()
   /// is called (the Fleet starts it first).
   Router(std::vector<core::Server*> shards, PlacementPolicy& policy,
-         core::Executor& executor, net::Poller& poller,
+         util::TaskPool& executor, net::Poller& poller,
          util::EventTrace* trace);
   ~Router();
 
@@ -117,7 +117,7 @@ class Router {
 
   std::vector<core::Server*> shards_;
   PlacementPolicy* policy_;
-  core::Executor* executor_;
+  util::TaskPool* executor_;
   net::Poller* poller_;
   util::EventTrace* trace_;
 

@@ -1,7 +1,6 @@
 #include "mem/offload_engine.h"
 
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace menos::mem {
 
@@ -15,8 +14,9 @@ const char* residency_name(Residency r) noexcept {
   return "?";
 }
 
-OffloadEngine::OffloadEngine(gpusim::TransferModel transfer)
-    : transfer_(transfer) {}
+OffloadEngine::OffloadEngine(util::TaskPool& pool,
+                             gpusim::TransferModel transfer)
+    : pool_(&pool), transfer_(transfer) {}
 
 OffloadEngine::~OffloadEngine() {
   util::MutexLock lock(mutex_);
@@ -95,15 +95,33 @@ void OffloadEngine::prefetch(int id) {
     auto it = units_.find(id);
     if (it == units_.end()) return;
     if (it->second.state != Residency::OnHost) return;
-    it->second.state = Residency::MovingIn;
     ++inflight_;
   }
-  util::ThreadPool::instance().submit([this, id] {
-    complete_move_in(id, /*is_prefetch=*/true);
-    util::MutexLock lock(mutex_);
-    --inflight_;
-    state_cv_.notify_all();
+  // The unit stays OnHost until the task starts: were it MovingIn now, an
+  // ensure_resident() on a worker ahead of the task (every worker, on a
+  // width-1 pool) would wait forever for a move that cannot begin.
+  const bool posted = pool_->post([this, id] {
+    run_prefetch(id);
+    finish_prefetch();
   });
+  if (!posted) finish_prefetch();
+}
+
+void OffloadEngine::run_prefetch(int id) {
+  {
+    util::MutexLock lock(mutex_);
+    auto it = units_.find(id);
+    // Unregistered, or moved in (or out) since prefetch() looked.
+    if (it == units_.end() || it->second.state != Residency::OnHost) return;
+    it->second.state = Residency::MovingIn;
+  }
+  complete_move_in(id, /*is_prefetch=*/true);
+}
+
+void OffloadEngine::finish_prefetch() {
+  util::MutexLock lock(mutex_);
+  --inflight_;
+  state_cv_.notify_all();
 }
 
 bool OffloadEngine::complete_move_in(int id, bool is_prefetch) {

@@ -25,9 +25,11 @@
 // therefore no engine method ever calls the scheduler while holding the
 // engine mutex — ensure_resident()/prefetch() drop it before charge().
 //
-// Asynchrony: prefetch() runs the charge + move-in on the process
-// ThreadPool's background task lane (util::ThreadPool::submit) so a grant
-// can overlap a swap-in with the previous client's compute. Transfer time
+// Asynchrony: prefetch() posts the charge + move-in to the serving
+// executor (the util::TaskPool the sessions run on) so a grant can overlap
+// a swap-in with the previous client's compute. The posted task claims the
+// unit (OnHost -> MovingIn) only when it starts, so a queued prefetch never
+// makes ensure_resident() wait on work that is still behind it. Transfer time
 // is priced with the same gpusim::TransferModel constants the vanilla
 // baseline and src/sim use, accumulated in stats().modeled_transfer_s.
 #pragma once
@@ -38,6 +40,7 @@
 #include <map>
 
 #include "gpusim/device.h"
+#include "util/executor.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -81,7 +84,10 @@ struct OffloadStats {
 
 class OffloadEngine {
  public:
-  explicit OffloadEngine(gpusim::TransferModel transfer = {});
+  /// Prefetches run on `pool`, which must outlive the engine or be
+  /// stopped (and so drained) before it.
+  explicit OffloadEngine(util::TaskPool& pool,
+                         gpusim::TransferModel transfer = {});
 
   /// Waits for every in-flight async move to settle.
   ~OffloadEngine();
@@ -114,9 +120,11 @@ class OffloadEngine {
   void ensure_resident(int id);
 
   /// Asynchronous move-in hint (prefetch-on-grant): if the unit is OnHost,
-  /// start the charge + move on the background task lane and return
-  /// immediately. Failure to charge quietly leaves the unit OnHost — the
-  /// caller's ensure_resident() will retry and surface the error.
+  /// post the charge + move to the executor and return immediately. The
+  /// task does nothing if the unit is no longer OnHost when it starts, and
+  /// a pool that is stopping refuses it. Failure to charge quietly leaves
+  /// the unit OnHost — the caller's ensure_resident() will retry and
+  /// surface the error.
   void prefetch(int id);
 
   /// Detach the unit for migration to another engine: wait for any
@@ -155,20 +163,28 @@ class OffloadEngine {
     std::uint64_t last_used = 0; ///< LRU stamp (engine-local clock)
   };
 
+  /// Body of a posted prefetch: claim the unit (OnHost -> MovingIn) and
+  /// move it in, or do nothing if it left OnHost meanwhile.
+  void run_prefetch(int id);
+
   /// Charge + move a unit previously marked MovingIn by the caller.
   /// Returns false if the charge failed (unit reverted to OnHost).
   bool complete_move_in(int id, bool is_prefetch);
 
+  /// Retire one outstanding prefetch (ran or was refused by the pool).
+  void finish_prefetch();
+
   void wait_while_moving_locked(Unit& unit) MENOS_REQUIRES(mutex_);
   Unit& unit_locked(int id) MENOS_REQUIRES(mutex_);
 
+  util::TaskPool* pool_;
   gpusim::TransferModel transfer_;
 
   mutable util::Mutex mutex_{"mem.offload", 40};
   util::CondVar state_cv_;  ///< signaled on every residency transition
   std::map<int, Unit> units_ MENOS_GUARDED_BY(mutex_);
   std::uint64_t clock_ MENOS_GUARDED_BY(mutex_) = 0;
-  int inflight_ MENOS_GUARDED_BY(mutex_) = 0;  ///< async tasks outstanding
+  int inflight_ MENOS_GUARDED_BY(mutex_) = 0;  ///< prefetches outstanding
   OffloadStats stats_ MENOS_GUARDED_BY(mutex_);
 };
 

@@ -22,14 +22,15 @@ TaskPool::TaskPool(int width) : width_(width) {
 
 TaskPool::~TaskPool() { stop_and_join(); }
 
-void TaskPool::post(std::function<void()> task) {
-  if (!task) return;
+bool TaskPool::post(std::function<void()> task) {
+  if (!task) return false;
   {
     MutexLock lock(mutex_);
-    if (stopping_) return;  // producers are already winding down
+    if (stopping_) return false;  // producers are already winding down
     tasks_.push_back(Task{next_task_id_++, std::move(task)});
   }
   cv_.notify_one();
+  return true;
 }
 
 void TaskPool::stop_and_join() {

@@ -107,13 +107,13 @@ class BlockingQueue {
 };
 
 /// One-shot or resettable binary event ("manual-reset event" semantics).
+/// notify() signals under the lock: a waiter may destroy the object as
+/// soon as wait() returns, so the signal must not outlive the unlock.
 class Notification {
  public:
   void notify() {
-    {
-      MutexLock lock(mutex_);
-      notified_ = true;
-    }
+    MutexLock lock(mutex_);
+    notified_ = true;
     cv_.notify_all();
   }
 
@@ -142,6 +142,7 @@ class Notification {
 };
 
 /// Go-style wait group for joining a dynamic set of worker threads.
+/// done() signals under the lock, for the reason Notification does.
 class WaitGroup {
  public:
   void add(int n = 1) {
@@ -150,10 +151,8 @@ class WaitGroup {
   }
 
   void done() {
-    {
-      MutexLock lock(mutex_);
-      --count_;
-    }
+    MutexLock lock(mutex_);
+    --count_;
     cv_.notify_all();
   }
 

@@ -3,13 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <deque>
 #include <exception>
-#include <string>
-#include <utility>
 
 #include "util/check.h"
-#include "util/logging.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -30,25 +26,18 @@ constexpr ThreadPool::Index kChunksPerThread = 4;
 // thread_pool.h). Process-wide like the pool itself.
 std::atomic<int> g_reserved_cores{0};
 
-int env_width() {
-  const char* raw = std::getenv("MENOS_THREADS");
-  long parsed = 0;
-  if (raw != nullptr && *raw != '\0') {
-    char* end = nullptr;
-    parsed = std::strtol(raw, &end, 10);
-    if (end == raw || (end != nullptr && *end != '\0') || parsed < 0) {
-      MENOS_CHECK_MSG(false, "MENOS_THREADS must be a non-negative integer, got '"
-                                 << raw << "'");
-    }
-  }
-  if (parsed <= 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    parsed = hw == 0 ? 1 : static_cast<long>(hw);
-  }
-  return static_cast<int>(std::min<long>(parsed, 256));
-}
-
 }  // namespace
+
+int env_thread_count(const char* name) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr || *raw == '\0') return 0;
+  char* end = nullptr;
+  const long parsed = std::strtol(raw, &end, 10);
+  MENOS_CHECK_MSG(end != raw && *end == '\0' && parsed >= 0,
+                  name << " must be a non-negative integer, got '" << raw
+                       << "'");
+  return static_cast<int>(std::min<long>(parsed, kMaxThreads));
+}
 
 /// One fork/join dispatch. Heap-held via shared_ptr so a worker that wakes
 /// late and finds every chunk already claimed can still touch the chunk
@@ -86,14 +75,6 @@ struct ThreadPool::State {
   bool started MENOS_GUARDED_BY(mutex) = false;
   // Size of workers_, readable without the dispatch locks.
   std::atomic<int> spawned{0};
-
-  // Background task lane (submit): independent of the fork/join fields so
-  // a long-running task never interferes with parallel_for dispatch.
-  Mutex task_mutex{"util.threadpool.task", 47};
-  CondVar task_cv;
-  std::deque<std::function<void()>> tasks MENOS_GUARDED_BY(task_mutex);
-  bool task_stop MENOS_GUARDED_BY(task_mutex) = false;
-  bool task_started MENOS_GUARDED_BY(task_mutex) = false;
 };
 
 ThreadPool& ThreadPool::instance() {
@@ -102,18 +83,19 @@ ThreadPool& ThreadPool::instance() {
 }
 
 ThreadPool::ThreadPool() : state_(std::make_unique<State>()) {
-  num_threads_ = env_width();
+  num_threads_ = env_thread_count("MENOS_THREADS");
+  if (num_threads_ == 0) {
+    const int hw = static_cast<int>(std::thread::hardware_concurrency());
+    num_threads_ = std::min(kMaxThreads, std::max(1, hw));
+  }
 }
 
-ThreadPool::~ThreadPool() {
-  stop_task_worker();
-  stop_workers();
-}
+ThreadPool::~ThreadPool() { stop_workers(); }
 
 void ThreadPool::set_num_threads(int n) {
   MENOS_CHECK_MSG(n >= 1, "ThreadPool width must be >= 1, got " << n);
   stop_workers();
-  num_threads_ = std::min(n, 256);
+  num_threads_ = std::min(n, kMaxThreads);
 }
 
 int ThreadPool::helper_budget() const noexcept {
@@ -131,59 +113,6 @@ void ThreadPool::reserve_cores(int n) noexcept {
 
 void ThreadPool::release_cores(int n) noexcept {
   g_reserved_cores.fetch_sub(n, std::memory_order_relaxed);
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  MENOS_CHECK_MSG(task != nullptr, "ThreadPool::submit needs a task");
-  bool spawn = false;
-  {
-    MutexLock lock(state_->task_mutex);
-    MENOS_CHECK_MSG(!state_->task_stop, "ThreadPool is shutting down");
-    state_->tasks.push_back(std::move(task));
-    if (!state_->task_started) {
-      // Lazy start, mirroring the fork/join workers: programs that never
-      // submit() never pay for the extra thread.
-      state_->task_started = true;
-      spawn = true;
-    }
-  }
-  if (spawn) task_thread_ = std::thread([this] { task_worker_main(); });
-  state_->task_cv.notify_one();
-}
-
-void ThreadPool::task_worker_main() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      MutexLock lock(state_->task_mutex);
-      while (state_->tasks.empty() && !state_->task_stop) {
-        state_->task_cv.wait(state_->task_mutex);
-      }
-      if (state_->tasks.empty()) return;  // stop requested, queue drained
-      task = std::move(state_->tasks.front());
-      state_->tasks.pop_front();
-    }
-    try {
-      task();
-    } catch (const std::exception& e) {
-      MENOS_LOG(Error) << "background task failed: " << e.what();
-    } catch (...) {
-      MENOS_LOG(Error) << "background task failed with a non-exception";
-    }
-  }
-}
-
-void ThreadPool::stop_task_worker() {
-  {
-    MutexLock lock(state_->task_mutex);
-    if (!state_->task_started) return;
-    state_->task_stop = true;
-  }
-  state_->task_cv.notify_all();
-  task_thread_.join();
-  MutexLock lock(state_->task_mutex);
-  state_->task_started = false;
-  state_->task_stop = false;
 }
 
 void ThreadPool::stop_workers() {

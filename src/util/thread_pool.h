@@ -1,4 +1,6 @@
 // Process-wide fork/join thread pool behind the tensor compute kernels.
+// It runs data-parallel regions only; asynchronous tasks (session events,
+// offload prefetch) go to the serving executor, util::TaskPool.
 //
 // Design constraints, in priority order:
 //   1. Determinism. parallel_for partitions [begin, end) into disjoint
@@ -6,9 +8,10 @@
 //      body, so a kernel that writes output[i] only from iteration i
 //      produces bit-identical results for ANY thread count — including the
 //      serial fallback. Nothing about chunk assignment leaks into results.
-//   2. No surprises for the split runtime. Server/client session threads
-//      already exist (see util/queue.h); the pool is a singleton sized by
-//      MENOS_THREADS (default: hardware concurrency) and a second thread
+//   2. No surprises for the split runtime. Executor workers and client
+//      threads already exist (see util/executor.h); the pool is a
+//      singleton sized by MENOS_THREADS (default: hardware concurrency)
+//      and a second thread
 //      arriving while a region is in flight simply runs its range serially
 //      instead of queueing behind the first — compute never deadlocks on
 //      compute.
@@ -79,28 +82,17 @@ class ThreadPool {
   static void reserve_cores(int n) noexcept;
   static void release_cores(int n) noexcept;
 
-  /// Run `task` asynchronously on the pool's background task lane: one
-  /// dedicated FIFO worker, lazily spawned and fully independent of the
-  /// fork/join machinery above (a task may itself call parallel_for).
-  /// Tasks run in submission order; an exception escaping a task is logged
-  /// and dropped — callers that care catch their own. Used by the offload
-  /// engine (src/mem) for asynchronous host<->device swaps.
-  void submit(std::function<void()> task);
-
  private:
   ThreadPool();
 
   struct Region;
 
   void stop_workers();
-  void stop_task_worker();
   void worker_main();
-  void task_worker_main();
   static void run_chunks(Region& region);
 
   int num_threads_ = 1;
   std::vector<std::thread> workers_;
-  std::thread task_thread_;  ///< background task lane (see submit)
 
   // All fields below are guarded by an annotated util::Mutex in the .cc
   // (kept out of the header to avoid dragging locking headers into every
@@ -108,6 +100,14 @@ class ThreadPool {
   struct State;
   std::unique_ptr<State> state_;
 };
+
+/// Upper bound on any thread count read from configuration.
+constexpr int kMaxThreads = 256;
+
+/// Thread count from the environment variable `name`: 0 when it is unset,
+/// empty or "0", else its value clamped to kMaxThreads. A non-integer or
+/// negative value fails a MENOS_CHECK naming the variable.
+int env_thread_count(const char* name);
 
 /// Convenience forwarder: menos::util::parallel_for(0, n, grain, body).
 inline void parallel_for(ThreadPool::Index begin, ThreadPool::Index end,

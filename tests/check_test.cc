@@ -7,8 +7,8 @@
 //     hold-stacks for the cycle — and exactly once per closing edge;
 //   * schedule exploration: a deliberately re-introduced order bug in a
 //     TaskPool scenario must be found by check::explore() and reproduced
-//     from the seed it prints, and the Strand/serving/fault scenarios must
-//     survive >= 1000 explored schedules with zero reports.
+//     from the seed it prints, and the Strand/offload/serving/fault
+//     scenarios must survive >= 1000 explored schedules with zero reports.
 //
 // Test order in this file matters: the lock-order unit tests reset the
 // global lock graph (ScopedLockReportCapture), so the regression sweep over
@@ -30,8 +30,10 @@
 #include "core/client.h"
 #include "core/server.h"
 #include "data/dataset.h"
+#include "mem/offload_engine.h"
 #include "net/faulty.h"
 #include "net/transport.h"
+#include "util/check.h"
 #include "util/executor.h"
 #include "util/mutex.h"
 #include "util/queue.h"
@@ -373,6 +375,143 @@ TEST(ScheduleExplore, CrossThreadStrandPostsHoldAcrossSeeds) {
   g_explored.fetch_add(result.schedules);
   EXPECT_TRUE(result.ok) << result.failing_mode << " seed "
                          << result.failing_seed << ": " << result.what;
+}
+
+// ---------------------------------------------------------------------------
+// Schedule exploration: offload residency on the serving executor.
+// ---------------------------------------------------------------------------
+namespace {
+
+/// A scheduler stand-in for the offload engine: a byte pool whose mutex is
+/// held across reclaim (scheduler -> engine, the only permitted nesting),
+/// plus a log of every move per unit.
+struct OffloadWorld {
+  static constexpr std::size_t kUnit = 64;
+  static constexpr std::size_t kCapacity = 96;  // both units cannot fit
+
+  mem::OffloadEngine* engine = nullptr;
+  util::Mutex pool_mutex{"test.offload.pool", 32};
+  std::size_t free_bytes MENOS_GUARDED_BY(pool_mutex) = kCapacity - 2 * kUnit;
+  util::Mutex log_mutex{"test.offload.log", 86};
+  std::vector<std::string> moves[2] MENOS_GUARDED_BY(log_mutex);
+
+  mem::UnitCallbacks callbacks_for(int id) {
+    mem::UnitCallbacks cb;
+    cb.move = [this, id](bool to_device) {
+      util::MutexLock lock(log_mutex);
+      moves[id].push_back(to_device ? "in" : "out");
+    };
+    cb.charge = [this, id] {
+      util::MutexLock lock(pool_mutex);
+      if (free_bytes < kUnit) {
+        free_bytes += engine->evict_idle(kUnit - free_bytes, id);
+      }
+      if (free_bytes < kUnit) {
+        throw OutOfMemory("offload world exhausted", kUnit, free_bytes);
+      }
+      free_bytes -= kUnit;
+    };
+    return cb;
+  }
+
+  /// An eviction pass as the scheduler runs it: under the pool mutex,
+  /// crediting what it freed.
+  void reclaim(std::size_t bytes) {
+    util::MutexLock lock(pool_mutex);
+    free_bytes += engine->evict_idle(bytes);
+  }
+};
+
+/// A prefetch, a pinned ensure_resident and an eviction pass race on a
+/// two-worker executor over a unit that starts on the host, with a second
+/// idle unit as eviction fodder. Whatever the schedule: the pinned unit is
+/// resident while pinned, each unit's moves alternate (no double move-in),
+/// the stats match the moves, and the byte pool balances.
+void offload_race_scenario() {
+  util::TaskPool pool(2);
+  OffloadWorld world;
+  mem::OffloadEngine engine(pool);
+  world.engine = &engine;
+  engine.register_unit(0, OffloadWorld::kUnit, world.callbacks_for(0));
+  engine.register_unit(1, OffloadWorld::kUnit, world.callbacks_for(1));
+  world.reclaim(OffloadWorld::kUnit);  // unit 0 (older stamp) goes out
+  if (engine.residency(0) != mem::Residency::OnHost) {
+    throw std::runtime_error("setup: unit 0 not evicted");
+  }
+
+  util::Mutex error_mutex{"test.offload.error", 88};
+  std::string error;
+  auto fail = [&](const std::string& what) {
+    util::MutexLock lock(error_mutex);
+    if (error.empty()) error = what;
+  };
+  util::WaitGroup wg;
+  wg.add(3);
+  pool.post([&] {
+    engine.prefetch(0);  // posts the prefetch task onto the same pool
+    wg.done();
+  });
+  pool.post([&] {
+    try {
+      engine.begin_use(0);
+      engine.ensure_resident(0);
+      if (!engine.resident(0)) fail("pinned unit not resident");
+      engine.end_use(0);
+    } catch (const std::exception& e) {
+      fail(std::string("ensure_resident threw: ") + e.what());
+    }
+    wg.done();
+  });
+  pool.post([&] {
+    world.reclaim(OffloadWorld::kUnit);
+    wg.done();
+  });
+  wg.wait();
+  pool.stop_and_join();  // runs the prefetch task if it is still queued
+
+  if (!error.empty()) throw std::runtime_error(error);
+  const mem::OffloadStats stats = engine.stats();
+  std::uint64_t ins = 0;
+  std::uint64_t outs = 0;
+  {
+    util::MutexLock lock(world.log_mutex);
+    for (const std::vector<std::string>& log : world.moves) {
+      for (std::size_t i = 0; i < log.size(); ++i) {
+        // Registered on the device, so moves go out, in, out, ...
+        if (log[i] != (i % 2 == 0 ? "out" : "in")) {
+          throw std::runtime_error("moves of a unit did not alternate");
+        }
+        (log[i] == "in" ? ins : outs) += 1;
+      }
+    }
+  }
+  if (stats.swap_ins != ins || stats.swap_outs != outs) {
+    throw std::runtime_error("offload stats disagree with the moves");
+  }
+  if (stats.prefetches > 1) throw std::runtime_error("prefetched twice");
+  util::MutexLock lock(world.pool_mutex);
+  if (world.free_bytes + engine.resident_bytes() != OffloadWorld::kCapacity) {
+    throw std::runtime_error("byte pool does not balance");
+  }
+}
+
+}  // namespace
+
+TEST(ScheduleExplore, OffloadPrefetchRacesHoldAcrossSeeds) {
+#ifdef MENOS_DEADLOCK_DETECT
+  const std::uint64_t reports_before = check::lock_report_count();
+#endif
+  check::ExploreOptions options;
+  options.seeds = 500;  // x2 schedule families = 1000 schedules
+  options.base_seed = 9000;
+  const check::ExploreResult result =
+      check::explore(offload_race_scenario, options);
+  g_explored.fetch_add(result.schedules);
+  EXPECT_TRUE(result.ok) << result.failing_mode << " seed "
+                         << result.failing_seed << ": " << result.what;
+#ifdef MENOS_DEADLOCK_DETECT
+  EXPECT_EQ(check::lock_report_count(), reports_before);
+#endif
 }
 
 // ---------------------------------------------------------------------------

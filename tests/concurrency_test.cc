@@ -11,10 +11,10 @@
 #include <vector>
 
 #include "core/client.h"
-#include "core/executor.h"
 #include "core/server.h"
 #include "data/dataset.h"
 #include "net/transport.h"
+#include "util/thread_pool.h"
 
 namespace menos::core {
 namespace {
@@ -161,20 +161,38 @@ TEST(Concurrency, ManyClientsMatchUnloadedLossCurvesExactly) {
   EXPECT_EQ(rig.client_devices.gpu(0).allocated(), 0u);
 }
 
-TEST(Concurrency, ExecutorWidthResolution) {
+TEST(Concurrency, ResolveExecutorWidth) {
   const char* saved = std::getenv("MENOS_EXECUTOR_THREADS");
   const std::string saved_value = saved != nullptr ? saved : "";
   ::unsetenv("MENOS_EXECUTOR_THREADS");
 
   // Explicit configuration wins; <= 0 falls back to the environment, then
   // to min(8, hardware_concurrency).
-  EXPECT_EQ(Executor::resolve_width(3), 3);
-  const int ambient = Executor::resolve_width(0);
+  EXPECT_EQ(resolve_executor_width(3), 3);
+  const int ambient = resolve_executor_width(0);
   EXPECT_GE(ambient, 1);
   EXPECT_LE(ambient, 8);
   ::setenv("MENOS_EXECUTOR_THREADS", "5", 1);
-  EXPECT_EQ(Executor::resolve_width(0), 5);
-  EXPECT_EQ(Executor::resolve_width(2), 2);
+  EXPECT_EQ(resolve_executor_width(0), 5);
+  EXPECT_EQ(resolve_executor_width(2), 2);
+
+  // "0" and empty mean unset. Only the resolver runs below: no pool is
+  // ever built at these widths.
+  ::setenv("MENOS_EXECUTOR_THREADS", "0", 1);
+  EXPECT_EQ(resolve_executor_width(0), ambient);
+  ::setenv("MENOS_EXECUTOR_THREADS", "", 1);
+  EXPECT_EQ(resolve_executor_width(0), ambient);
+  // Huge values clamp to the thread cap, from either source.
+  ::setenv("MENOS_EXECUTOR_THREADS", "100000", 1);
+  EXPECT_EQ(resolve_executor_width(0), util::kMaxThreads);
+  EXPECT_EQ(resolve_executor_width(100000), util::kMaxThreads);
+  // Non-integers and negatives are rejected instead of silently ignored;
+  // an explicit configuration still wins without reading the variable.
+  for (const char* bad : {"abc", "-3", "4x", " "}) {
+    ::setenv("MENOS_EXECUTOR_THREADS", bad, 1);
+    EXPECT_THROW(resolve_executor_width(0), Error) << "'" << bad << "'";
+    EXPECT_EQ(resolve_executor_width(2), 2);
+  }
 
   if (saved != nullptr) {
     ::setenv("MENOS_EXECUTOR_THREADS", saved_value.c_str(), 1);

@@ -12,6 +12,8 @@
 #include "mem/caching_allocator.h"
 #include "mem/offload_engine.h"
 #include "util/check.h"
+#include "util/executor.h"
+#include "util/queue.h"
 #include "util/rng.h"
 
 namespace menos {
@@ -268,7 +270,8 @@ struct FakeWorld {
 };
 
 TEST(OffloadEngineTest, EvictIdleFreesLruFirst) {
-  mem::OffloadEngine engine;
+  util::TaskPool pool(1);
+  mem::OffloadEngine engine(pool);
   FakeWorld world;
   engine.register_unit(1, 100, world.callbacks_for(1, 100));
   engine.register_unit(2, 50, world.callbacks_for(2, 50));
@@ -288,7 +291,8 @@ TEST(OffloadEngineTest, EvictIdleFreesLruFirst) {
 }
 
 TEST(OffloadEngineTest, EvictSkipsBusyAndExceptedUnits) {
-  mem::OffloadEngine engine;
+  util::TaskPool pool(1);
+  mem::OffloadEngine engine(pool);
   FakeWorld world;
   engine.register_unit(1, 100, world.callbacks_for(1, 100));
   engine.register_unit(2, 100, world.callbacks_for(2, 100));
@@ -304,7 +308,8 @@ TEST(OffloadEngineTest, EvictSkipsBusyAndExceptedUnits) {
 }
 
 TEST(OffloadEngineTest, EnsureResidentChargesThenMovesIn) {
-  mem::OffloadEngine engine;
+  util::TaskPool pool(1);
+  mem::OffloadEngine engine(pool);
   FakeWorld world;
   world.free_bytes = 0;
   engine.register_unit(7, 64, world.callbacks_for(7, 64));
@@ -325,7 +330,8 @@ TEST(OffloadEngineTest, EnsureResidentChargesThenMovesIn) {
 }
 
 TEST(OffloadEngineTest, FailedChargeLeavesUnitOnHostAndThrows) {
-  mem::OffloadEngine engine;
+  util::TaskPool pool(1);
+  mem::OffloadEngine engine(pool);
   FakeWorld world;
   engine.register_unit(7, 64, world.callbacks_for(7, 64));
   ASSERT_EQ(engine.evict_idle(64), 64u);
@@ -340,13 +346,15 @@ TEST(OffloadEngineTest, FailedChargeLeavesUnitOnHostAndThrows) {
 }
 
 TEST(OffloadEngineTest, PrefetchCompletesAsynchronously) {
-  mem::OffloadEngine engine;
+  util::TaskPool pool(2);
+  mem::OffloadEngine engine(pool);
   FakeWorld world;
   engine.register_unit(7, 64, world.callbacks_for(7, 64));
   ASSERT_EQ(engine.evict_idle(64), 64u);
   world.free_bytes = 64;
   engine.prefetch(7);
-  // ensure_resident joins the in-flight prefetch instead of double-moving.
+  pool.stop_and_join();  // drain: the prefetch task has run
+  // ensure_resident finds the prefetched unit instead of double-moving.
   engine.ensure_resident(7);
   EXPECT_TRUE(engine.resident(7));
   EXPECT_EQ(engine.stats().swap_ins, 1u);
@@ -357,8 +365,52 @@ TEST(OffloadEngineTest, PrefetchCompletesAsynchronously) {
   EXPECT_EQ(engine.stats().swap_ins, 1u);
 }
 
+TEST(OffloadEngineTest, EnsureResidentOvertakesAQueuedPrefetch) {
+  // One worker, blocked: the prefetch task stays queued behind the blocker.
+  // ensure_resident must not wait for it — it moves the unit in itself,
+  // and the prefetch, when it finally runs, finds nothing to do.
+  util::TaskPool pool(1);
+  mem::OffloadEngine engine(pool);
+  FakeWorld world;
+  engine.register_unit(7, 64, world.callbacks_for(7, 64));
+  ASSERT_EQ(engine.evict_idle(64), 64u);
+  world.free_bytes = 64;
+  world.log.clear();
+  util::Notification release;
+  ASSERT_TRUE(pool.post([&release] { release.wait(); }));
+  engine.prefetch(7);
+  engine.ensure_resident(7);
+  EXPECT_TRUE(engine.resident(7));
+  EXPECT_EQ(engine.stats().swap_ins, 1u);
+  EXPECT_EQ(engine.stats().prefetches, 0u);
+  release.notify();
+  pool.stop_and_join();  // the late prefetch task runs here
+  EXPECT_TRUE(engine.resident(7));
+  EXPECT_EQ(engine.stats().swap_ins, 1u);
+  EXPECT_EQ(engine.stats().prefetches, 0u);
+  EXPECT_EQ(world.log, (std::vector<std::string>{"charge:7", "in:7"}));
+  EXPECT_EQ(world.free_bytes, 0u);
+}
+
+TEST(OffloadEngineTest, PrefetchOnAStoppedPoolIsRefused) {
+  FakeWorld world;
+  util::TaskPool pool(1);
+  {
+    mem::OffloadEngine engine(pool);
+    engine.register_unit(7, 64, world.callbacks_for(7, 64));
+    ASSERT_EQ(engine.evict_idle(64), 64u);
+    world.free_bytes = 64;
+    pool.stop_and_join();
+    engine.prefetch(7);
+    EXPECT_EQ(engine.residency(7), mem::Residency::OnHost);
+    EXPECT_EQ(engine.stats().prefetches, 0u);
+  }  // ~OffloadEngine must not wait for the refused task
+  EXPECT_EQ(world.free_bytes, 64u);  // never charged
+}
+
 TEST(OffloadEngineTest, UnregisterReportsWhetherChargeIsStillHeld) {
-  mem::OffloadEngine engine;
+  util::TaskPool pool(1);
+  mem::OffloadEngine engine(pool);
   FakeWorld world;
   engine.register_unit(1, 100, world.callbacks_for(1, 100));
   engine.register_unit(2, 100, world.callbacks_for(2, 100));
@@ -369,7 +421,8 @@ TEST(OffloadEngineTest, UnregisterReportsWhetherChargeIsStillHeld) {
 }
 
 TEST(OffloadEngineTest, ReleaseUnitSwapsOutAndReportsHeldCharge) {
-  mem::OffloadEngine engine;
+  util::TaskPool pool(1);
+  mem::OffloadEngine engine(pool);
   FakeWorld world;
   engine.register_unit(1, 100, world.callbacks_for(1, 100));
 
@@ -396,8 +449,9 @@ TEST(OffloadEngineTest, ReleaseUnitSwapsOutAndReportsHeldCharge) {
 
 TEST(OffloadEngineTest, AdoptedUnitLandsOnHostAndChargesOnFirstUse) {
   // Two engines standing in for two shards with separate pools.
-  mem::OffloadEngine src;
-  mem::OffloadEngine dst;
+  util::TaskPool pool(1);
+  mem::OffloadEngine src(pool);
+  mem::OffloadEngine dst(pool);
   FakeWorld src_world;
   FakeWorld dst_world;
   src.register_unit(5, 128, src_world.callbacks_for(5, 128));
@@ -427,7 +481,8 @@ TEST(OffloadEngineTest, AdoptedUnitLandsOnHostAndChargesOnFirstUse) {
 
 TEST(OffloadEngineTest, TransferTimeIsPricedWithTheSharedModel) {
   const gpusim::TransferModel model{1.0e9, 1.0e-3};
-  mem::OffloadEngine engine(model);
+  util::TaskPool pool(1);
+  mem::OffloadEngine engine(pool, model);
   FakeWorld world;
   engine.register_unit(1, 1000000, world.callbacks_for(1, 1000000));
   ASSERT_EQ(engine.evict_idle(1), 1000000u);

@@ -28,12 +28,14 @@ Rules (see docs/ANALYSIS.md for rationale and examples):
                          outside src/util/rng.* — every experiment must be
                          reproducible from a single util::Rng seed.
   raw-thread             No std::thread / std::jthread / std::async in src/
-                         outside src/util/ — concurrency is owned by the
-                         shared serving core (util::TaskPool + Strand, the
-                         net::Poller service thread). Per-session threads
-                         are exactly what the event-driven refactor removed;
-                         the few legitimate infrastructure threads carry a
-                         NOLINT with a justification.
+                         outside src/util/ — src/util/ owns the two pools:
+                         util::TaskPool, the one task executor (session
+                         strands, offload prefetch), and util::ThreadPool,
+                         the fork/join pool for tensor ops. Per-session
+                         threads are exactly what the event-driven refactor
+                         removed; the few legitimate infrastructure threads
+                         (the net::Poller service thread, accept loops)
+                         carry a NOLINT with a justification.
   raw-close              No ::close()/::shutdown() in src/ outside src/net/
                          — file descriptors are transport-layer property.
                          The TCP transport defers the real close until

@@ -181,7 +181,7 @@ void json_samples(std::FILE* f, const std::vector<ThreadSample>& samples) {
   for (std::size_t i = 0; i < samples.size(); ++i) {
     const ThreadSample& s = samples[i];
     std::fprintf(f,
-                 "%s\n      {\"threads\": %d, \"ms\": %.3f, \"gflops\": "
+                 "%s\n      {\"threads\": %d, \"ms\": %.4f, \"gflops\": "
                  "%.3f, \"speedup_vs_seed\": %.3f}",
                  i == 0 ? "" : ",", s.threads, s.ms, s.gflops,
                  s.speedup_vs_seed);
@@ -229,14 +229,25 @@ int main(int argc, char** argv) {
   matmuls.push_back(bench_matmul("mm", seed_mm, menos::tensor::kernels::mm,
                                  256, 64, 256, 256 * 64, 64 * 256, 256 * 256,
                                  20));
+  // Edge-dominated shapes, where every register tile is partial: the LoRA
+  // down projection (rank 8 < NR) and its weight gradient, and one
+  // attention product (head_dim 16 < NR, 32 rows not a multiple of MR).
+  matmuls.push_back(bench_matmul("mm", seed_mm, menos::tensor::kernels::mm,
+                                 128, 128, 8, 128 * 128, 128 * 8, 128 * 8,
+                                 200));
+  matmuls.push_back(bench_matmul("mm_tn", seed_mm_tn,
+                                 menos::tensor::kernels::mm_tn, 128, 128, 8,
+                                 128 * 128, 128 * 8, 128 * 8, 200));
+  matmuls.push_back(bench_matmul("mm", seed_mm, menos::tensor::kernels::mm,
+                                 32, 32, 16, 32 * 32, 32 * 16, 32 * 16, 500));
 
   for (const MatmulResult& r : matmuls) {
-    std::printf("%-6s %4lldx%4lldx%4lld  seed %8.2f ms (%.2f GF/s)",
+    std::printf("%-6s %4lldx%4lldx%4lld  seed %8.4f ms (%.2f GF/s)",
                 r.op.c_str(), static_cast<long long>(r.m),
                 static_cast<long long>(r.k), static_cast<long long>(r.n),
                 r.seed_ms, r.seed_gflops);
     for (const ThreadSample& s : r.parallel) {
-      std::printf("  | t=%d %.2f ms %.2fx", s.threads, s.ms,
+      std::printf("  | t=%d %.4f ms %.2fx", s.threads, s.ms,
                   s.speedup_vs_seed);
     }
     std::printf("\n");
@@ -252,6 +263,9 @@ int main(int argc, char** argv) {
   rng.fill_normal(lnx.data(), static_cast<std::size_t>(lnx.numel()), 1.0f);
   Tensor gamma = Tensor::full({512}, 1.0f, *device);
   Tensor beta = Tensor::full({512}, 0.0f, *device);
+  // Attention's head split: [batch, seq, heads, head_dim] -> [b, h, s, d].
+  Tensor heads = Tensor::empty({4, 32, 4, 32}, *device);
+  rng.fill_normal(heads.data(), static_cast<std::size_t>(heads.numel()), 1.0f);
 
   std::vector<OpResult> ops;
   ops.push_back(bench_op("gelu", "[2097152]", 5,
@@ -259,11 +273,14 @@ int main(int argc, char** argv) {
   ops.push_back(bench_op("layer_norm", "[4096,512]", 5, [&] {
     menos::tensor::layer_norm(lnx, gamma, beta);
   }));
+  ops.push_back(bench_op("permute_0213", "[4,32,4,32]", 200, [&] {
+    menos::tensor::permute(heads, {0, 2, 1, 3});
+  }));
 
   for (const OpResult& r : ops) {
     std::printf("%-10s %-12s", r.op.c_str(), r.shape.c_str());
     for (const ThreadSample& s : r.parallel) {
-      std::printf("  | t=%d %.2f ms %.2fx", s.threads, s.ms,
+      std::printf("  | t=%d %.4f ms %.2fx", s.threads, s.ms,
                   s.speedup_vs_seed);
     }
     std::printf("\n");
@@ -303,7 +320,7 @@ int main(int argc, char** argv) {
     const MatmulResult& r = matmuls[i];
     std::fprintf(f,
                  "%s    {\"op\": \"%s\", \"m\": %lld, \"k\": %lld, \"n\": "
-                 "%lld,\n     \"seed_serial_ms\": %.3f, "
+                 "%lld,\n     \"seed_serial_ms\": %.4f, "
                  "\"seed_serial_gflops\": %.3f,\n     \"parallel\": ",
                  i == 0 ? "" : ",\n", r.op.c_str(),
                  static_cast<long long>(r.m), static_cast<long long>(r.k),

@@ -11,6 +11,10 @@
 //           pack A[ic:ic+MC, pc:pc+KC] into MR-wide strips (thread scratch)
 //           for each (MR x NR) tile: micro-kernel
 //
+// Partial tiles at the m/n edges run on the same vector micro-kernel
+// through a zero-padded MR x NR stack tile (micro_edge below); only the
+// valid block is stored back.
+//
 // The micro-kernel keeps an MR x NR accumulator block in vector registers
 // and adds one rank-1 update per contraction step p, p ascending. Because C
 // round-trips through memory between KC-panels losslessly (float loads and
@@ -86,7 +90,7 @@ Index resolved(Index value, Index fallback) {
   return value > 0 ? value : fallback;
 }
 
-// The scalar reduction loops (edge tiles, serial references) must make the
+// The scalar reduction loops (the serial references) must make the
 // SAME per-element rounding decisions as the vector micro-kernel, and a
 // plain `acc += a[p]*b[p]` does not guarantee that: the compiler may
 // contract it to an fma, leave it as mul+add, or — worst — partially
@@ -229,19 +233,21 @@ void micro(const float* __restrict__ ap, const float* __restrict__ bp,
   }
 }
 
-/// Partial tile at the m/n edges: scalar, same per-element order.
-MENOS_SCALAR_ONLY
+/// Partial mr x nr tile at the m/n edges, run on the full-tile micro():
+/// the valid block of C goes through a zeroed MR x NR stack tile. The
+/// packed strips are zero-padded, so every padded lane computes a value
+/// that is never stored, and every stored element gets the same
+/// ascending-p sequence of vmadd()s as in a full tile.
 void micro_edge(const float* __restrict__ ap, const float* __restrict__ bp,
                 float* __restrict__ c, Index ldc, Index kc, Index mr,
                 Index nr) {
+  alignas(64) float tile[kMR * kNR] = {};
   for (Index i = 0; i < mr; ++i) {
-    for (Index j = 0; j < nr; ++j) {
-      float acc = c[i * ldc + j];
-      for (Index p = 0; p < kc; ++p) {
-        acc = madd(acc, ap[p * kMR + i], bp[p * kNR + j]);
-      }
-      c[i * ldc + j] = acc;
-    }
+    std::copy_n(c + i * ldc, nr, tile + i * kNR);
+  }
+  micro(ap, bp, tile, kNR, kc);
+  for (Index i = 0; i < mr; ++i) {
+    std::copy_n(tile + i * kNR, nr, c + i * ldc);
   }
 }
 

@@ -455,47 +455,54 @@ Tensor reshape(const Tensor& a, Shape new_shape) {
 
 namespace {
 
-/// Raw permutation copy: out[perm(index)] = in[index].
+/// Raw permutation copy: output axis i is input axis dims[i]. Walks the
+/// output in order with an odometer over its coordinates and advances the
+/// source offset by the permuted input strides, so the loop has no divides.
+/// Each innermost output row is one contiguous copy when its input stride
+/// is 1, and a strided gather otherwise.
 Tensor permute_copy(const Tensor& a, const std::vector<int>& dims) {
   const Shape& in_shape = a.shape();
-  const int nd = a.ndim();
-  Shape out_shape(static_cast<std::size_t>(nd));
-  for (int i = 0; i < nd; ++i) {
-    out_shape[static_cast<std::size_t>(i)] =
-        in_shape[static_cast<std::size_t>(dims[static_cast<std::size_t>(i)])];
+  const std::size_t nd = in_shape.size();
+  std::vector<Index> in_strides(nd, 1);
+  for (std::size_t i = nd; i-- > 1;) {
+    in_strides[i - 1] = in_strides[i] * in_shape[i];
+  }
+  Shape out_shape(nd);
+  std::vector<Index> src_strides(nd);  // input stride of each output axis
+  for (std::size_t i = 0; i < nd; ++i) {
+    const auto d = static_cast<std::size_t>(dims[i]);
+    out_shape[i] = in_shape[d];
+    src_strides[i] = in_strides[d];
   }
   Tensor out = Tensor::empty(out_shape, a.device());
-
-  // Strides (row-major).
-  std::vector<Index> in_strides(static_cast<std::size_t>(nd), 1);
-  std::vector<Index> out_strides(static_cast<std::size_t>(nd), 1);
-  for (int i = nd - 2; i >= 0; --i) {
-    in_strides[static_cast<std::size_t>(i)] =
-        in_strides[static_cast<std::size_t>(i + 1)] *
-        in_shape[static_cast<std::size_t>(i + 1)];
-    out_strides[static_cast<std::size_t>(i)] =
-        out_strides[static_cast<std::size_t>(i + 1)] *
-        out_shape[static_cast<std::size_t>(i + 1)];
-  }
+  const Index total = out.numel();
+  if (total == 0) return out;
 
   const float* pin = a.data();
   float* pout = out.data();
-  const Index total = a.numel();
-  std::vector<Index> idx(static_cast<std::size_t>(nd), 0);
-  for (Index flat = 0; flat < total; ++flat) {
-    // Decompose flat input index -> coordinates.
-    Index rem = flat;
-    for (int i = 0; i < nd; ++i) {
-      idx[static_cast<std::size_t>(i)] =
-          rem / in_strides[static_cast<std::size_t>(i)];
-      rem %= in_strides[static_cast<std::size_t>(i)];
+  if (nd == 0) {
+    pout[0] = pin[0];
+    return out;
+  }
+  const Index inner = out_shape[nd - 1];
+  const Index inner_stride = src_strides[nd - 1];
+  std::vector<Index> coord(nd, 0);
+  Index src = 0;
+  for (Index dst = 0; dst < total; dst += inner) {
+    if (inner_stride == 1) {
+      std::copy_n(pin + src, inner, pout + dst);
+    } else {
+      for (Index j = 0; j < inner; ++j) {
+        pout[dst + j] = pin[src + j * inner_stride];
+      }
     }
-    Index out_flat = 0;
-    for (int i = 0; i < nd; ++i) {
-      out_flat += idx[static_cast<std::size_t>(dims[static_cast<std::size_t>(i)])] *
-                  out_strides[static_cast<std::size_t>(i)];
+    // Advance the outer output coordinates, last axis fastest.
+    for (std::size_t i = nd - 1; i-- > 0;) {
+      src += src_strides[i];
+      if (++coord[i] < out_shape[i]) break;
+      src -= src_strides[i] * out_shape[i];
+      coord[i] = 0;
     }
-    pout[out_flat] = pin[flat];
   }
   return out;
 }

@@ -75,7 +75,10 @@ Tensor Tensor::from_span(const float* data, Index n, Shape shape,
                   "data size " << n << " does not match shape "
                                << shape_to_string(shape));
   Tensor t = empty(std::move(shape), device, requires_grad);
-  std::memcpy(t.data(), data, static_cast<std::size_t>(n) * sizeof(float));
+  // An empty span may come with a null pointer, which memcpy must not see.
+  if (n > 0) {
+    std::memcpy(t.data(), data, static_cast<std::size_t>(n) * sizeof(float));
+  }
   return t;
 }
 

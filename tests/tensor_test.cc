@@ -2,6 +2,9 @@
 // forward semantics against hand-computed values.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "tensor/ops.h"
 #include "test_helpers.h"
 
@@ -174,6 +177,101 @@ TEST(ShapeOps, PermuteInvalidAxesThrow) {
   Tensor a = Tensor::zeros({2, 2}, host_device());
   EXPECT_THROW(permute(a, {0, 0}), InvalidArgument);
   EXPECT_THROW(permute(a, {0}), InvalidArgument);
+}
+
+// The index-decomposition algorithm: split each flat input index into
+// coordinates with divides and modulos, then scatter to the output, where
+// output axis i is input axis dims[i]. The reference permute must match.
+std::vector<float> permute_reference(const std::vector<float>& in,
+                                     const Shape& shape,
+                                     const std::vector<int>& dims) {
+  const std::size_t nd = shape.size();
+  Shape out_shape;
+  for (int d : dims) out_shape.push_back(shape[static_cast<std::size_t>(d)]);
+  std::vector<Index> in_strides(nd, 1);
+  std::vector<Index> out_strides(nd, 1);
+  for (int i = static_cast<int>(nd) - 2; i >= 0; --i) {
+    const auto u = static_cast<std::size_t>(i);
+    in_strides[u] = in_strides[u + 1] * shape[u + 1];
+    out_strides[u] = out_strides[u + 1] * out_shape[u + 1];
+  }
+  std::vector<float> out(in.size());
+  std::vector<Index> idx(nd);
+  for (std::size_t flat = 0; flat < in.size(); ++flat) {
+    Index rem = static_cast<Index>(flat);
+    for (std::size_t i = 0; i < nd; ++i) {
+      idx[i] = rem / in_strides[i];
+      rem %= in_strides[i];
+    }
+    Index out_flat = 0;
+    for (std::size_t i = 0; i < nd; ++i) {
+      out_flat += idx[static_cast<std::size_t>(dims[i])] * out_strides[i];
+    }
+    out[static_cast<std::size_t>(out_flat)] = in[flat];
+  }
+  return out;
+}
+
+std::vector<float> distinct_values(const Shape& shape) {
+  std::vector<float> data(static_cast<std::size_t>(numel_of(shape)));
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = 0.5f * static_cast<float>(i) - 3.0f;
+  }
+  return data;
+}
+
+/// Checks permute(shape, dims) against the reference for every axis order
+/// of `shape`; returns how many orders it checked.
+int expect_all_permutes_match_reference(const Shape& shape) {
+  const std::vector<float> data = distinct_values(shape);
+  Tensor a = Tensor::from_vector(data, shape, host_device());
+  std::vector<int> dims(shape.size());
+  for (std::size_t i = 0; i < dims.size(); ++i) dims[i] = static_cast<int>(i);
+  int orders = 0;
+  do {
+    Tensor p = permute(a, dims);
+    Shape expected_shape(shape.size());
+    for (std::size_t i = 0; i < dims.size(); ++i) {
+      expected_shape[i] = shape[static_cast<std::size_t>(dims[i])];
+    }
+    EXPECT_EQ(p.shape(), expected_shape) << shape_to_string(shape);
+    EXPECT_EQ(p.to_vector(), permute_reference(data, shape, dims))
+        << shape_to_string(shape) << " order #" << orders;
+    ++orders;
+  } while (std::next_permutation(dims.begin(), dims.end()));
+  return orders;
+}
+
+TEST(ShapeOps, PermuteEveryOrderOf4DMatchesReference) {
+  EXPECT_EQ(expect_all_permutes_match_reference({2, 3, 4, 5}), 24);
+}
+
+TEST(ShapeOps, PermuteWithExtentOneAxisMatchesReference) {
+  EXPECT_EQ(expect_all_permutes_match_reference({3, 1, 4}), 6);
+  EXPECT_EQ(expect_all_permutes_match_reference({4, 3, 1}), 6);
+}
+
+TEST(ShapeOps, Permute2DAnd1DMatchReference) {
+  EXPECT_EQ(expect_all_permutes_match_reference({3, 5}), 2);
+  EXPECT_EQ(expect_all_permutes_match_reference({7}), 1);
+}
+
+TEST(ShapeOps, PermuteWithExtentZeroAxis) {
+  EXPECT_EQ(expect_all_permutes_match_reference({2, 0, 3}), 6);
+}
+
+TEST(ShapeOps, PermuteGradientIsInversePermutation) {
+  const Shape shape{2, 3, 4, 5};
+  const std::vector<int> dims{2, 0, 3, 1};
+  const std::vector<int> inverse{1, 3, 0, 2};
+  Tensor a = Tensor::from_vector(distinct_values(shape), shape, host_device(),
+                                 true);
+  Tensor y = permute(a, dims);
+  const std::vector<float> upstream = distinct_values(y.shape());
+  backward(y, Tensor::from_vector(upstream, y.shape(), host_device()));
+  EXPECT_EQ(a.grad().shape(), shape);
+  EXPECT_EQ(a.grad().to_vector(),
+            permute_reference(upstream, y.shape(), inverse));
 }
 
 TEST(ShapeOps, ConcatAndSliceDim1) {

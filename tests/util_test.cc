@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "util/bytes.h"
 #include "util/check.h"
@@ -114,6 +116,40 @@ TEST(Crc32, DetectsCorruption) {
   const std::uint32_t before = crc32(s.data(), s.size());
   s[3] ^= 0x01;
   EXPECT_NE(before, crc32(s.data(), s.size()));
+}
+
+// A byte-at-a-time CRC that shifts each bit through the polynomial, with no
+// tables: the reference the slice-by-8 loop must match bit for bit.
+std::uint32_t crc32_bytewise(const unsigned char* p, std::size_t n,
+                             std::uint32_t seed) {
+  std::uint32_t c = seed ^ 0xffffffffu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) != 0 ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xffffffffu;
+}
+
+TEST(Crc32, MatchesBytewiseReferenceUnalignedAndChained) {
+  Rng rng(17);
+  std::vector<unsigned char> buf(8 + 300);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.next_below(256));
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const unsigned char* p = buf.data() + offset;
+      ASSERT_EQ(crc32(p, len), crc32_bytewise(p, len, 0))
+          << "offset " << offset << " len " << len;
+      const auto seed = static_cast<std::uint32_t>(rng.next_u64());
+      ASSERT_EQ(crc32(p, len, seed), crc32_bytewise(p, len, seed))
+          << "offset " << offset << " len " << len << " seed " << seed;
+      const std::size_t split = len == 0 ? 0 : rng.next_below(len + 1);
+      ASSERT_EQ(crc32(p + split, len - split, crc32(p, split)),
+                crc32_bytewise(p, len, 0))
+          << "offset " << offset << " len " << len << " split " << split;
+    }
+  }
 }
 
 TEST(BlockingQueue, FifoOrder) {
